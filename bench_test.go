@@ -112,18 +112,18 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
-// BenchmarkGenerateScalar is the reference-oracle row for
-// BenchmarkGenerate: the same generation-phase run on the scalar search
-// path (one X-fill completion and one probe lane at a time). The
-// results are bit-identical (TestBatchedSearchInvariance); the ratio of
-// the two benchmarks is the word-parallel speedup reported in
-// EXPERIMENTS.md.
-func BenchmarkGenerateScalar(b *testing.B) {
+// BenchmarkGenerateReference is the reference-oracle row for
+// BenchmarkGenerate: the same generation-phase run with every layer on
+// its reference path (scalar X-fill lanes and probe scoring, full
+// levelized walks; core.Options.Reference). The results are
+// bit-identical (TestReferenceInvariance); the ratio of the two
+// benchmarks is the combined word-parallel and event-driven speedup.
+func BenchmarkGenerateReference(b *testing.B) {
 	for _, name := range []string{"s298", "s386", "s641", "s1196"} {
 		c := bench.ProfileByName(name).Circuit()
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				core.MustNew(c, core.Options{DisableFaultSim: true, ScalarSearch: true}).Run()
+				core.MustNew(c, core.Options{DisableFaultSim: true, Reference: true}).Run()
 			}
 		})
 	}

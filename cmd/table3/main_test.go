@@ -32,19 +32,6 @@ func TestSeedFlagReachesEngine(t *testing.T) {
 	}
 }
 
-// TestFullEvalFlagReachesEngine pins the -fulleval oracle knob for
-// table3.
-func TestFullEvalFlagReachesEngine(t *testing.T) {
-	var stderr bytes.Buffer
-	cfg, err := parseArgs([]string{"-fulleval"}, &stderr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.engineConfig().FullEval {
-		t.Fatal("-fulleval did not reach the config")
-	}
-}
-
 // TestParseArgsRejectsUnknownOrder: a misspelled heuristic fails fast.
 func TestParseArgsRejectsUnknownOrder(t *testing.T) {
 	var stderr bytes.Buffer

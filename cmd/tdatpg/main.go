@@ -37,8 +37,6 @@ type config struct {
 	workers   int
 	compact   bool
 	seed      int64
-	fullEval  bool
-	scalarS   bool
 	broadcast bool
 	steal     bool
 	coneSets  string
@@ -72,8 +70,6 @@ func parseArgs(argv []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&cfg.workers, "workers", 0, "ATPG worker count (0 = all CPUs, <0 = single worker); results are identical at any count")
 	fs.Int64Var(&cfg.seed, "seed", 0, "run seed: drives the random X-fill, the ADI ordering campaign and the splice fills (one seed, one Result, at any worker count)")
 	fs.BoolVar(&cfg.compact, "compact", false, "compact the test set (reverse-order drop + overlap merge) after generation")
-	fs.BoolVar(&cfg.fullEval, "fulleval", false, "force full levelized simulation instead of the event-driven cone kernels (reference oracle; results are identical)")
-	fs.BoolVar(&cfg.scalarS, "scalarsearch", false, "force the scalar reference path of the generation-phase search instead of the 64-lane batched X-fill trials and decision probes (reference oracle; results are identical)")
 	fs.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile (taken after the run) to this file")
 	fs.BoolVar(&cfg.broadcast, "broadcast", false, "cross-worker detected-set broadcast (pure scheduling; results are identical)")
@@ -123,8 +119,6 @@ func (cfg *config) engineConfig() atpg.Config {
 		Seed:            cfg.seed,
 		Workers:         cfg.workers,
 		Compact:         cfg.compact,
-		FullEval:        cfg.fullEval,
-		ScalarSearch:    cfg.scalarS,
 		Broadcast:       cfg.broadcast,
 		Steal:           cfg.steal,
 		ConeSets:        cfg.coneSets,

@@ -54,22 +54,19 @@ func TestSeedFlagReachesEngine(t *testing.T) {
 	}
 }
 
-// TestFullEvalFlagReachesEngine pins the -fulleval oracle knob and that
-// the profiling flags survive parsing.
-func TestFullEvalFlagReachesEngine(t *testing.T) {
+// TestProfileFlagsReachConfig pins that -compact and the profiling
+// flags survive parsing.
+func TestProfileFlagsReachConfig(t *testing.T) {
 	var stderr bytes.Buffer
-	cfg, err := parseArgs([]string{"-fulleval", "-compact", "-cpuprofile", "cpu.out", "-memprofile", "mem.out", "circuit.bench"}, &stderr)
+	cfg, err := parseArgs([]string{"-compact", "-cpuprofile", "cpu.out", "-memprofile", "mem.out", "circuit.bench"}, &stderr)
 	if err != nil {
 		t.Fatalf("parseArgs: %v (stderr: %s)", err, stderr.String())
 	}
-	if !cfg.engineConfig().FullEval {
-		t.Fatal("config FullEval not set")
+	if !cfg.engineConfig().Compact {
+		t.Fatal("config Compact not set")
 	}
 	if cfg.cpuProf != "cpu.out" || cfg.memProf != "mem.out" {
 		t.Fatalf("profile paths lost: cpu=%q mem=%q", cfg.cpuProf, cfg.memProf)
-	}
-	if cfg2, err := parseArgs([]string{"circuit.bench"}, &stderr); err != nil || cfg2.engineConfig().FullEval {
-		t.Fatal("FullEval must default to off (event-driven kernels)")
 	}
 }
 

@@ -23,9 +23,10 @@
 // exists both as a full levelized walk and as an event-driven
 // selective-trace kernel over that topology which re-evaluates only the
 // fanout cones of changed sources, bit-identical by contract
-// (core.Options.FullEval forces the full walks as the reference
-// oracle). Command line tools live under cmd/ and runnable examples
-// under examples/, all consuming pkg/atpg exclusively — with the
+// (core.Options.Reference forces the full walks, together with the
+// scalar credit sweep and search, as the reference oracle). Command
+// line tools live under cmd/ and runnable examples under examples/, all
+// consuming pkg/atpg exclusively — with the
 // sanctioned exceptions listed, with their reasons, in internal/lint's
 // exemption table: chiefly cmd/atpgd, the ATPG-as-a-service daemon, a
 // thin shell over internal/service (multi-tenant job scheduler,

@@ -42,7 +42,7 @@ type Options struct {
 	DisableSplice bool
 	// FullEval forces the splice re-confirmations onto the full
 	// levelized walks (the reference oracle); pass the run's
-	// Options.FullEval. Acceptance decisions are identical either way.
+	// Options.Reference. Acceptance decisions are identical either way.
 	FullEval bool
 }
 

@@ -152,7 +152,7 @@ func TestCompactionFullEvalInvariance(t *testing.T) {
 		sumEvt := core.MustNew(c, core.Options{Compact: true}).Run()
 		stEvt := Apply(c, sumEvt, Options{})
 		cRef := bench.ProfileByName(name).Circuit()
-		sumRef := core.MustNew(cRef, core.Options{Compact: true, FullEval: true}).Run()
+		sumRef := core.MustNew(cRef, core.Options{Compact: true, Reference: true}).Run()
 		stRef := Apply(cRef, sumRef, Options{FullEval: true})
 		if got, want := summarize(sumEvt, stEvt), summarize(sumRef, stRef); got != want {
 			t.Errorf("%s: compaction diverged between kernels:\n--- event\n%s--- full\n%s", name, got, want)

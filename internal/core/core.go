@@ -123,31 +123,17 @@ type Options struct {
 	// index), and results remain bit-identical at every worker count for
 	// a given ordering.
 	Order order.Heuristic
-	// ScalarCredit runs the post-generation credit sweep on the scalar
-	// reference path (one eight-valued confirmation per candidate)
-	// instead of the word-parallel default (64 candidates per machine
-	// word, see tdsim.ConfirmBatch). The two paths produce bit-identical
-	// summaries — TestBatchedCreditInvariance pins it — so the knob
+	// Reference runs every layer on its reference path: the scalar
+	// credit sweep (tdsim.DetectScalar, one eight-valued confirmation per
+	// candidate instead of 64 per machine word), scalar X-fill lanes and
+	// decision-probe scoring in the generation search (one frame at a
+	// time instead of one lane-parallel pass), and full levelized walks
+	// instead of the event-driven cone kernels in tdsim, fausim, semilet
+	// and compaction. Both paths enumerate identical candidates, fills and
+	// decisions, so Summaries are bit-identical (Detects included) at
+	// every worker count — TestReferenceInvariance pins it. The switch
 	// exists only for differential testing and benchmarking.
-	ScalarCredit bool
-	// ScalarSearch runs the generation-phase search on the scalar
-	// reference path: X-fill trials are confirmed one frame at a time in
-	// the exact lane order of the batched default (64 completions per
-	// machine word, see tdsim.ConfirmFills), and decision-probe scores
-	// are computed by per-lane scalar simulation instead of one
-	// lane-parallel pass. The two paths enumerate identical candidates,
-	// fills and decision orders, so Summaries are bit-identical —
-	// TestBatchedSearchInvariance pins it — and the knob exists only for
-	// differential testing and benchmarking.
-	ScalarSearch bool
-	// FullEval forces every simulation pass — confirmation, credit
-	// sweep, propagation-phase search, splice re-confirmation — onto the
-	// full levelized walk instead of the event-driven selective-trace
-	// kernel that re-evaluates only fault-site fanout cones. The two
-	// paths produce bit-identical Summaries (Detects included) at every
-	// worker count, pinned by TestEventDrivenInvariance; the knob exists
-	// as the reference oracle for differential tests and benchmarks.
-	FullEval bool
+	Reference bool
 	// ConeSets selects the representation of the shared topology's lazy
 	// per-stem cone membership sets: "" or "auto" (pick per stem), "dense"
 	// (bitsets, the pre-compression oracle), "compressed" (interval

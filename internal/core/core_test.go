@@ -92,19 +92,11 @@ func TestTimedHandoff(t *testing.T) {
 	}
 }
 
-// TestReportWriters smoke-checks both report formats for shape and
+// TestReportWriters smoke-checks the CSV report for shape and
 // internal consistency with the summary counts.
 func TestReportWriters(t *testing.T) {
 	c := bench.NewS27()
 	sum := MustNew(c, Options{}).Run()
-
-	var txt strings.Builder
-	if err := sum.WriteReport(&txt, c); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(txt.String(), "tested=") || !strings.Contains(txt.String(), "G17/") {
-		t.Fatalf("report missing content:\n%s", txt.String())
-	}
 
 	var buf strings.Builder
 	if err := sum.WriteCSV(&buf, c); err != nil {

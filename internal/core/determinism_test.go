@@ -78,92 +78,68 @@ func TestOrderingWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestBatchedCreditInvariance pins the word-parallel credit sweep into
-// the determinism contract: the batched path (the default) must produce
-// a Summary bit-identical to the scalar reference path
-// (Options.ScalarCredit) at every worker count, so batching — like
-// sharding — is purely an execution detail.
-func TestBatchedCreditInvariance(t *testing.T) {
+// TestReferenceInvariance pins every reference path into the
+// determinism contract: the default run (word-parallel credit sweep,
+// lane-parallel X-fill trials and decision probes, event-driven cone
+// kernels) must produce a Summary bit-identical to Options.Reference at
+// every worker count, and the reference run itself must not depend on
+// the worker count. Compact drops the credit skip filter and records
+// the complete detection sets the compactor replays, so there the
+// Detects are compared element by element too.
+func TestReferenceInvariance(t *testing.T) {
+	runs := []struct {
+		name string
+		opts Options
+	}{
+		{"reference/16", Options{Reference: true, Workers: 16}},
+		{"default/1", Options{Workers: 1}},
+		{"default/4", Options{Workers: 4}},
+		{"default/16", Options{Workers: 16}},
+	}
 	for _, name := range []string{"s27", "s298", "s386"} {
 		c := bench.ProfileByName(name).Circuit()
-		ref := summarize(MustNew(c, Options{ScalarCredit: true, Workers: 1}).Run())
-		for _, workers := range []int{1, 4} {
-			got := summarize(MustNew(c, Options{Workers: workers}).Run())
-			if got != ref {
-				t.Errorf("%s: batched credit (Workers=%d) diverged from the scalar reference:\n--- scalar\n%s--- batched\n%s",
-					name, workers, ref, got)
-			}
-		}
-		// Compact drops the skip filter and records full detection sets;
-		// the equivalence must hold there too, Detects included.
-		refC := MustNew(c, Options{ScalarCredit: true, Workers: 1, Compact: true}).Run()
-		gotC := MustNew(c, Options{Compact: true}).Run()
-		if a, b := summarize(refC), summarize(gotC); a != b {
-			t.Errorf("%s: batched credit diverged under Compact:\n--- scalar\n%s--- batched\n%s", name, a, b)
-			continue
-		}
-		for i := range refC.Results {
-			ra, rb := refC.Results[i].Seq, gotC.Results[i].Seq
-			if (ra == nil) != (rb == nil) {
-				t.Fatalf("%s: sequence presence differs at fault %d", name, i)
-			}
-			if ra == nil {
-				continue
-			}
-			if len(ra.Detects) != len(rb.Detects) {
-				t.Errorf("%s fault %d: scalar recorded %d detections, batched %d",
-					name, i, len(ra.Detects), len(rb.Detects))
-				continue
-			}
-			for j := range ra.Detects {
-				if ra.Detects[j] != rb.Detects[j] {
-					t.Errorf("%s fault %d: detection %d differs: scalar %v, batched %v",
-						name, i, j, ra.Detects[j], rb.Detects[j])
-					break
+		for _, compact := range []bool{false, true} {
+			ref := MustNew(c, Options{Reference: true, Workers: 1, Compact: compact}).Run()
+			refS := summarize(ref)
+			for _, r := range runs {
+				label := fmt.Sprintf("%s/%s/compact=%v", name, r.name, compact)
+				opts := r.opts
+				opts.Compact = compact
+				got := MustNew(c, opts).Run()
+				if gotS := summarize(got); gotS != refS {
+					t.Errorf("%s diverged from reference/1:\n--- reference\n%s--- got\n%s", label, refS, gotS)
+					continue
+				}
+				if compact {
+					compareDetects(t, label, ref, got)
 				}
 			}
 		}
 	}
 }
 
-// TestEventDrivenInvariance pins the selective-trace substrate into the
-// determinism contract: the event-driven kernels (the default) must
-// produce a Summary bit-identical to the full-eval reference
-// (Options.FullEval) at every worker count — Detects included, because
-// Compact drops the credit skip filter and records the complete
-// detection sets the compactor replays.
-func TestEventDrivenInvariance(t *testing.T) {
-	for _, name := range []string{"s27", "s298", "s386"} {
-		c := bench.ProfileByName(name).Circuit()
-		ref := MustNew(c, Options{FullEval: true, Workers: 1, Compact: true}).Run()
-		refS := summarize(ref)
-		for _, workers := range []int{1, 4} {
-			got := MustNew(c, Options{Workers: workers, Compact: true}).Run()
-			if gotS := summarize(got); gotS != refS {
-				t.Errorf("%s: event-driven (Workers=%d) diverged from full-eval:\n--- full\n%s--- event\n%s",
-					name, workers, refS, gotS)
-				continue
-			}
-			for i := range ref.Results {
-				ra, rb := ref.Results[i].Seq, got.Results[i].Seq
-				if (ra == nil) != (rb == nil) {
-					t.Fatalf("%s: sequence presence differs at fault %d", name, i)
-				}
-				if ra == nil {
-					continue
-				}
-				if len(ra.Detects) != len(rb.Detects) {
-					t.Errorf("%s fault %d: full-eval recorded %d detections, event %d",
-						name, i, len(ra.Detects), len(rb.Detects))
-					continue
-				}
-				for j := range ra.Detects {
-					if ra.Detects[j] != rb.Detects[j] {
-						t.Errorf("%s fault %d: detection %d differs: full %v, event %v",
-							name, i, j, ra.Detects[j], rb.Detects[j])
-						break
-					}
-				}
+// compareDetects reports the first recorded detection that differs
+// between two Summaries of one circuit, per fault.
+func compareDetects(t *testing.T, label string, ref, got *Summary) {
+	t.Helper()
+	for i := range ref.Results {
+		ra, rb := ref.Results[i].Seq, got.Results[i].Seq
+		if (ra == nil) != (rb == nil) {
+			t.Fatalf("%s: sequence presence differs at fault %d", label, i)
+		}
+		if ra == nil {
+			continue
+		}
+		if len(ra.Detects) != len(rb.Detects) {
+			t.Errorf("%s fault %d: reference recorded %d detections, got %d",
+				label, i, len(ra.Detects), len(rb.Detects))
+			continue
+		}
+		for j := range ra.Detects {
+			if ra.Detects[j] != rb.Detects[j] {
+				t.Errorf("%s fault %d: detection %d differs: reference %v, got %v",
+					label, i, j, ra.Detects[j], rb.Detects[j])
+				break
 			}
 		}
 	}
@@ -212,29 +188,6 @@ func TestOrderingClassifiesEverything(t *testing.T) {
 		}
 		if sum.Order != h.Name() {
 			t.Errorf("Summary.Order = %q, want %q", sum.Order, h.Name())
-		}
-	}
-}
-
-// TestBatchedSearchInvariance pins the generation-phase batching into
-// the determinism contract: the lane-parallel X-fill trials and
-// decision probes (the default) must produce a Summary bit-identical to
-// the scalar reference path (Options.ScalarSearch) — which enumerates
-// the identical fill lanes and probe frames one at a time — at every
-// worker count. Like ScalarCredit, the knob must be purely an execution
-// detail.
-func TestBatchedSearchInvariance(t *testing.T) {
-	for _, name := range []string{"s27", "s298", "s386"} {
-		c := bench.ProfileByName(name).Circuit()
-		ref := summarize(MustNew(c, Options{ScalarSearch: true, Workers: 1}).Run())
-		for _, workers := range []int{1, 4, 16} {
-			if got := summarize(MustNew(c, Options{Workers: workers}).Run()); got != ref {
-				t.Errorf("%s: batched search (Workers=%d) diverged from the scalar reference:\n--- scalar\n%s--- batched\n%s",
-					name, workers, ref, got)
-			}
-		}
-		if got := summarize(MustNew(c, Options{ScalarSearch: true, Workers: 16}).Run()); got != ref {
-			t.Errorf("%s: scalar search itself is worker-count dependent", name)
 		}
 	}
 }

@@ -74,12 +74,12 @@ const (
 func (e *Engine) newWorker() *worker {
 	net := sim.NewNetOn(e.topo)
 	td := tdsim.New(net, e.alg)
-	td.SetFullEval(e.opts.FullEval)
+	td.SetFullEval(e.opts.Reference)
 	c := e.c
 	w := &worker{
 		e:   e,
 		net: net,
-		sem: semilet.NewEngine(net, semilet.Options{MaxFrames: e.opts.MaxFrames, Meas: e.meas, FullEval: e.opts.FullEval}),
+		sem: semilet.NewEngine(net, semilet.Options{MaxFrames: e.opts.MaxFrames, Meas: e.meas, FullEval: e.opts.Reference}),
 		td:  td,
 
 		ppos:   c.PPOs(),
@@ -303,7 +303,7 @@ func (w *worker) process(ctx context.Context, rs *runState, p, i int, advisory b
 			// Validation disabled: the winning frame was never derived.
 			ff = w.fastFrame(o.seq)
 		}
-		if w.e.opts.ScalarCredit {
+		if w.e.opts.Reference {
 			o.detected = w.td.DetectScalar(ff, skip)
 		} else {
 			o.detected = w.td.Detect(ff, skip)
@@ -329,10 +329,10 @@ func (w *worker) generate(ctx context.Context, f faults.Delay, check func() stop
 		Algebra:       w.e.alg,
 		MaxBacktracks: w.e.opts.LocalBacktracks,
 		Probe:         true,
-		ScalarProbe:   w.e.opts.ScalarSearch,
+		ScalarProbe:   w.e.opts.Reference,
 		ProbeSeed:     faultSeed(w.fseed, probeStreamGen),
 	})
-	w.sem.SetProbe(faultSeed(w.fseed, probeStreamProp), w.e.opts.ScalarSearch)
+	w.sem.SetProbe(faultSeed(w.fseed, probeStreamProp), w.e.opts.Reference)
 	budget := semilet.NewBudget(w.e.opts.SeqBacktracks)
 	valFail := 0
 
@@ -620,10 +620,10 @@ func (w *worker) confirmLanes(seq *TestSequence, attempt int) sim.Word {
 // The first lane is checked scalar — the common case, a candidate whose
 // first fill confirms, costs exactly one frame — and the remaining 63
 // in one lane-parallel pass, committing the lowest-index detecting lane.
-// The scalar reference (Options.ScalarSearch) enumerates the identical
+// The scalar reference (Options.Reference) enumerates the identical
 // lanes one frame at a time, first detect wins; both paths pick the same
 // lane and return bit-identical frames, so every downstream artifact
-// (Summary, canonical JSON) is invariant under the knob.
+// (Summary, canonical JSON) is invariant under the switch.
 func (w *worker) validate(seq *TestSequence) (*tdsim.FastFrame, bool) {
 	attempt := w.attempts
 	w.attempts++
@@ -631,7 +631,7 @@ func (w *worker) validate(seq *TestSequence) (*tdsim.FastFrame, bool) {
 	if w.confirm(ff, seq.Fault) {
 		return ff, true
 	}
-	if w.e.opts.ScalarSearch {
+	if w.e.opts.Reference {
 		for lane := 1; lane < 64; lane++ {
 			ff = w.fastFrameWith(seq, w.seedLane(attempt, lane))
 			if w.confirm(ff, seq.Fault) {

@@ -25,29 +25,6 @@ func (s *Summary) Row() string {
 	return row
 }
 
-// WriteReport prints a human-readable per-fault classification.
-func (s *Summary) WriteReport(w io.Writer, c *netlist.Circuit) error {
-	if _, err := fmt.Fprintf(w, "# %s (%s model)\n# %s\n", s.Circuit, s.Algebra, s.Row()); err != nil {
-		return err
-	}
-	for _, r := range s.Results {
-		line := fmt.Sprintf("%-28s %s", r.Fault.Name(c), r.Status)
-		if r.Seq != nil {
-			line += fmt.Sprintf("  [%d vectors, PO %d]", r.Seq.Len(), r.Seq.ObservePO)
-			if r.Seq.Dropped {
-				line += " [dropped by compaction]"
-			}
-			if r.Seq.Follows != nil {
-				line += fmt.Sprintf(" [spliced: apply immediately after %s]", r.Seq.Follows.Name(c))
-			}
-		}
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // WriteCSV emits the per-fault classification and the generated sequences
 // in a machine-readable form: one row per fault with the flattened vector
 // sequence (X for don't-cares, | between frames).

@@ -38,7 +38,7 @@ func isKernelName(name string) bool {
 }
 
 // isMatchesTest recognizes the equivalence-test naming convention
-// (TestConfirmBatchMatchesScalar, TestEval64ConeMatchesFull, …).
+// (TestConfirmBatchMatchesScalar, TestEval5ConeMatchesFull, …).
 func isMatchesTest(name string) bool {
 	return strings.HasPrefix(name, "Test") && strings.Contains(name, "Matches")
 }

@@ -15,13 +15,13 @@ func TestSetMonotonicityProperty(t *testing.T) {
 		A, B := Set(a), Set(b)
 		A2 := A | Set(aExtra)
 		for _, alg := range []*Algebra{Robust, NonRobust} {
-			if alg.AndSet(A, B)&^alg.AndSet(A2, B) != 0 {
+			if alg.setAnd[A][B]&^alg.setAnd[A2][B] != 0 {
 				return false
 			}
-			if alg.OrSet(A, B)&^alg.OrSet(A2, B) != 0 {
+			if alg.setOr[A][B]&^alg.setOr[A2][B] != 0 {
 				return false
 			}
-			if alg.XorSet(A, B)&^alg.XorSet(A2, B) != 0 {
+			if alg.setXor[A][B]&^alg.setXor[A2][B] != 0 {
 				return false
 			}
 			if alg.NotSet(A)&^alg.NotSet(A2) != 0 {
@@ -102,7 +102,7 @@ func TestDeMorganProperty(t *testing.T) {
 	f := func(a, b uint8) bool {
 		A, B := Set(a), Set(b)
 		for _, alg := range []*Algebra{Robust, NonRobust} {
-			if alg.OrSet(A, B) != alg.NotSet(alg.AndSet(alg.NotSet(A), alg.NotSet(B))) {
+			if alg.setOr[A][B] != alg.NotSet(alg.setAnd[alg.NotSet(A)][alg.NotSet(B)]) {
 				return false
 			}
 		}

@@ -209,15 +209,6 @@ func (a *Algebra) buildSetTables() {
 	}
 }
 
-// AndSet returns the exact image of And over two sets.
-func (a *Algebra) AndSet(x, y Set) Set { return a.setAnd[x][y] }
-
-// OrSet returns the exact image of Or over two sets.
-func (a *Algebra) OrSet(x, y Set) Set { return a.setOr[x][y] }
-
-// XorSet returns the exact image of Xor over two sets.
-func (a *Algebra) XorSet(x, y Set) Set { return a.setXor[x][y] }
-
 // NotSet returns the exact image of Not over a set. Not is an involution,
 // so this is also the preimage.
 func (a *Algebra) NotSet(s Set) Set {

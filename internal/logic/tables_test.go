@@ -224,14 +224,14 @@ func TestSetImagesExact(t *testing.T) {
 	// Exhaustive over all 256x256 set pairs would be slow in triplicate;
 	// sample a deterministic stride plus all singleton pairs.
 	type op struct {
-		set  func(Set, Set) Set
+		set  *[1 << NumValues][1 << NumValues]Set
 		pair func(Value, Value) Value
 	}
 	for _, a := range []*Algebra{Robust, NonRobust} {
 		ops := map[string]op{
-			"and": {a.AndSet, a.And},
-			"or":  {a.OrSet, a.Or},
-			"xor": {a.XorSet, a.Xor},
+			"and": {&a.setAnd, a.And},
+			"or":  {&a.setOr, a.Or},
+			"xor": {&a.setXor, a.Xor},
 		}
 		for name, o := range ops {
 			for sa := 0; sa < 256; sa += 7 {
@@ -242,7 +242,7 @@ func TestSetImagesExact(t *testing.T) {
 							want = want.Add(o.pair(x, y))
 						}
 					}
-					if got := o.set(Set(sa), Set(sb)); got != want {
+					if got := o.set[sa][sb]; got != want {
 						t.Fatalf("%s: %sSet(%v,%v) = %v, want %v", a.Name(), name, Set(sa), Set(sb), got, want)
 					}
 				}

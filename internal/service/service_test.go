@@ -591,6 +591,32 @@ func TestAPIErrors(t *testing.T) {
 	waitDone(t, ts.URL, st.ID)
 }
 
+// TestRemovedReferenceFieldsRejected: the reference-oracle switches are
+// no longer part of the wire Config, so a submit body still naming one
+// is a 400 from the strict decoder, and the error names the field.
+func TestRemovedReferenceFieldsRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{MaxWorkersPerJob: 1})
+	for _, field := range []string{"full_eval", "scalar_credit", "scalar_search"} {
+		body := fmt.Sprintf(`{"benchmark":"s27","config":{%q:true}}`, field)
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e errorJSON
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: returned %d, want 400", field, resp.StatusCode)
+		}
+		if !strings.Contains(e.Error, field) {
+			t.Errorf("%s: error %q does not name the field", field, e.Error)
+		}
+	}
+}
+
 // TestHealthzAndBenchmarks smoke the two discovery endpoints.
 func TestHealthzAndBenchmarks(t *testing.T) {
 	_, ts := newTestServer(t, Options{})

@@ -183,38 +183,6 @@ func (n *Net) Eval8Cone(alg *logic.Algebra, vals []logic.Value, inj *InjectDelay
 	}
 }
 
-// Eval64Cone re-evaluates, in place, the fanout cones of the seed nodes
-// in the 64-way two-valued domain: the caller has overwritten the words
-// of the seed sources in an otherwise consistent Eval64 result.
-func (n *Net) Eval64Cone(vals []Word, seeds []netlist.NodeID) {
-	n.initWorklist()
-	t := n.T
-	for _, s := range seeds {
-		if t.Types[s].IsGate() {
-			n.sched(s)
-		} else {
-			n.schedConsumers(s)
-		}
-	}
-	for lvl := int32(1); lvl <= t.MaxLevel; lvl++ {
-		bucket := n.wl.buckets[lvl]
-		for _, id32 := range bucket {
-			id := netlist.NodeID(id32)
-			n.wl.queued[id] = false
-			beg, end := t.FaninOff[id], t.FaninOff[id+1]
-			buf := n.ins64[:end-beg]
-			for k := beg; k < end; k++ {
-				buf[k-beg] = vals[t.Fanin[k]]
-			}
-			if v := EvalGate64(t.Types[id], buf); v != vals[id] {
-				vals[id] = v
-				n.schedConsumers(id)
-			}
-		}
-		n.wl.buckets[lvl] = bucket[:0]
-	}
-}
-
 // setCarry records a divergence of the carry rail from its all-zero
 // baseline.
 func (n *Net) setCarry(C []Word, id netlist.NodeID, w Word) {

@@ -154,7 +154,7 @@ func TestEval5ConeMatchesFull(t *testing.T) {
 				state[i] = vals5[rng.Intn(len(vals5))]
 			}
 			base := net.LoadFrame5(assign, state)
-			net.Eval5(base, nil)
+			net.Eval5(base)
 			assign2 := append([]V5(nil), assign...)
 			var seeds []netlist.NodeID
 			evt := append([]V5(nil), base...)
@@ -169,55 +169,10 @@ func TestEval5ConeMatchesFull(t *testing.T) {
 			}
 			net.Eval5Cone(evt, seeds)
 			ref := net.LoadFrame5(assign2, state)
-			net.Eval5(ref, nil)
+			net.Eval5(ref)
 			for i := range ref {
 				if evt[i] != ref[i] {
 					t.Fatalf("%s trial %d node %d: cone %s, full %s", c.Name, trial, i, evt[i], ref[i])
-				}
-			}
-		}
-	}
-}
-
-// TestEval64ConeMatchesFull: the 64-way two-valued kernel.
-func TestEval64ConeMatchesFull(t *testing.T) {
-	for _, c := range coneCircuits(t) {
-		net := NewNet(c)
-		rng := rand.New(rand.NewSource(104))
-		words := func(n int) []Word {
-			out := make([]Word, n)
-			for i := range out {
-				out[i] = Word(rng.Uint64())
-			}
-			return out
-		}
-		for trial := 0; trial < 8; trial++ {
-			vec, state := words(len(c.PIs)), words(len(c.DFFs))
-			base := net.LoadFrame64(vec, state)
-			net.Eval64(base)
-			vec2, state2 := append([]Word(nil), vec...), append([]Word(nil), state...)
-			var seeds []netlist.NodeID
-			evt := append([]Word(nil), base...)
-			for i, pi := range c.PIs {
-				if rng.Intn(3) == 0 {
-					vec2[i] = Word(rng.Uint64())
-					evt[pi] = vec2[i]
-					seeds = append(seeds, pi)
-				}
-			}
-			for i, ff := range c.DFFs {
-				if rng.Intn(3) == 0 {
-					state2[i] = Word(rng.Uint64())
-					evt[ff] = state2[i]
-					seeds = append(seeds, ff)
-				}
-			}
-			net.Eval64Cone(evt, seeds)
-			ref := net.LoadFrame64(vec2, state2)
-			net.Eval64(ref)
-			for i := range ref {
-				if evt[i] != ref[i] {
-					t.Fatalf("%s trial %d node %d: cone %x, full %x", c.Name, trial, i, evt[i], ref[i])
 				}
 			}
 		}

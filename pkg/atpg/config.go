@@ -90,19 +90,6 @@ type Config struct {
 	// value forces a single worker. Results are bit-identical at every
 	// count.
 	Workers int `json:"workers,omitempty"`
-	// ScalarCredit forces the scalar reference path of the credit sweep
-	// (differential-testing knob; results are identical).
-	ScalarCredit bool `json:"scalar_credit,omitempty"`
-	// ScalarSearch forces the scalar reference path of the
-	// generation-phase search: X-fill trials confirmed one frame at a
-	// time instead of 64 per machine word, decision probes scored by
-	// per-lane simulation instead of one lane-parallel pass
-	// (differential-testing knob; results are identical).
-	ScalarSearch bool `json:"scalar_search,omitempty"`
-	// FullEval forces full levelized simulation instead of the
-	// event-driven cone kernels (reference oracle; results are
-	// identical).
-	FullEval bool `json:"full_eval,omitempty"`
 	// Compact compacts the generated test set after the run
 	// (reverse-order drop + overlap splicing); the statistics land in
 	// Result.Compaction. A cancelled run is never compacted.
@@ -140,6 +127,12 @@ type Config struct {
 	Shards int `json:"shards,omitempty"`
 	// ShardIndex is this run's shard number; meaningful only with Shards.
 	ShardIndex int `json:"shard_index,omitempty"`
+
+	// reference runs every engine layer and the compaction on its
+	// reference path (core.Options.Reference). Results are identical, so
+	// it is absent from the JSON form and the CacheKey; only this
+	// package's differential tests set it.
+	reference bool
 }
 
 // Validate reports the first invalid field: an unknown algebra or order
@@ -219,19 +212,14 @@ func (c Config) Canonical() (Config, error) {
 
 // CacheKey returns a deterministic string key for result caching: the
 // compact JSON of the Canonical form with the pure-scheduling knobs
-// (FullEval, ScalarCredit, ScalarSearch, Broadcast, Steal, ConeSets)
-// cleared, since
-// the Result — canonical JSON included — is bit-identical under every
-// setting of those. Workers stays in the key because Result echoes it.
+// (Broadcast, Steal, ConeSets) cleared, since the Result — canonical
+// JSON included — is bit-identical under every setting of those. Workers stays in the key because Result echoes it.
 // Invalid configurations are errors.
 func (c Config) CacheKey() (string, error) {
 	canon, err := c.Canonical()
 	if err != nil {
 		return "", err
 	}
-	canon.FullEval = false
-	canon.ScalarCredit = false
-	canon.ScalarSearch = false
 	canon.Broadcast = false
 	canon.Steal = false
 	canon.ConeSets = ""
@@ -285,9 +273,7 @@ func (c Config) engineOptions() (core.Options, error) {
 		Seed:              c.Seed,
 		Workers:           c.Workers,
 		Order:             h,
-		ScalarCredit:      c.ScalarCredit,
-		ScalarSearch:      c.ScalarSearch,
-		FullEval:          c.FullEval,
+		Reference:         c.reference,
 		Compact:           c.Compact,
 		Broadcast:         c.Broadcast,
 		Steal:             c.Steal,

@@ -24,11 +24,12 @@ func readBenchS27(t *testing.T) *Circuit {
 	return c
 }
 
-// TestBatchedSearchFacadeInvariance restates the generation-phase
-// batching contract over the wire format consumers read: the canonical
-// JSON of a Result is byte-identical between the batched default and the
-// scalar search oracle (Config.ScalarSearch) at 1, 4 and 16 workers —
-// on a built-in circuit and on the ReadBench path.
+// TestBatchedSearchFacadeInvariance restates the reference contract
+// over the wire format consumers read: the canonical JSON of a Result
+// is byte-identical between the default (batched, event-driven) run and
+// the reference run (Config.reference: scalar search and credit, full
+// levelized walks) at 1, 4 and 16 workers — on a built-in circuit and
+// on the ReadBench path.
 func TestBatchedSearchFacadeInvariance(t *testing.T) {
 	circuits := []struct {
 		name string
@@ -40,14 +41,14 @@ func TestBatchedSearchFacadeInvariance(t *testing.T) {
 	for _, tc := range circuits {
 		base := ""
 		for _, workers := range []int{1, 4, 16} {
-			for _, scalar := range []bool{false, true} {
-				res := mustRunTest(t, tc.c, Config{Workers: workers, ScalarSearch: scalar, Seed: 5})
+			for _, reference := range []bool{false, true} {
+				res := mustRunTest(t, tc.c, Config{Workers: workers, Seed: 5, reference: reference})
 				got := canonicalBytes(t, res)
 				if base == "" {
 					base = got
 				} else if got != base {
-					t.Errorf("%s: Workers=%d ScalarSearch=%v diverged from the baseline run",
-						tc.name, workers, scalar)
+					t.Errorf("%s: Workers=%d reference=%v diverged from the baseline run",
+						tc.name, workers, reference)
 				}
 			}
 		}
@@ -57,13 +58,13 @@ func TestBatchedSearchFacadeInvariance(t *testing.T) {
 // TestBatchedSearchCancelInvariance is the cancel-mid-search variant:
 // cancelling as soon as the first progress commits must leave a
 // coherent partial result whose classified prefix matches the full run
-// fault for fault — in both search modes, so an interrupted batched
-// search can never commit anything its scalar twin would not.
+// fault for fault — on both paths, so an interrupted default run can
+// never commit anything its reference twin would not.
 func TestBatchedSearchCancelInvariance(t *testing.T) {
 	c := mustBenchmark(t, "s641")
 	full := mustRunTest(t, c, Config{Workers: 2})
-	for _, scalar := range []bool{false, true} {
-		ses, err := New(c, Config{Workers: 2, ScalarSearch: scalar})
+	for _, reference := range []bool{false, true} {
+		ses, err := New(c, Config{Workers: 2, reference: reference})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,10 +74,10 @@ func TestBatchedSearchCancelInvariance(t *testing.T) {
 		res, err := ses.Run(ctx)
 		cancel()
 		if err != nil && err != context.Canceled {
-			t.Fatalf("ScalarSearch=%v: Run returned %v", scalar, err)
+			t.Fatalf("reference=%v: Run returned %v", reference, err)
 		}
 		if res == nil {
-			t.Fatalf("ScalarSearch=%v: no partial result", scalar)
+			t.Fatalf("reference=%v: no partial result", reference)
 		}
 		coherent(t, res)
 		for i, fr := range res.Faults {
@@ -84,8 +85,8 @@ func TestBatchedSearchCancelInvariance(t *testing.T) {
 				continue
 			}
 			if want := full.Faults[i].Status; fr.Status != want {
-				t.Fatalf("ScalarSearch=%v: %s committed as %s, full run says %s",
-					scalar, fr.Fault, fr.Status, want)
+				t.Fatalf("reference=%v: %s committed as %s, full run says %s",
+					reference, fr.Fault, fr.Status, want)
 			}
 		}
 	}

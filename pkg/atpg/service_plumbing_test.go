@@ -178,14 +178,21 @@ func TestConfigCacheKey(t *testing.T) {
 		}
 		return k
 	}
+	// The zero config's key is pinned to its literal bytes: checkpoint
+	// config_keys, shard merge keys and result-cache entries written by
+	// earlier builds must keep matching.
 	base := key(Config{})
-	// Defaults spelled out, and every pure-scheduling knob, collapse
-	// onto the zero config's key.
+	const want = `{"algebra":"robust","order":"natural","local_backtracks":100,"seq_backtracks":100,"max_frames":32}`
+	if base != want {
+		t.Fatalf("Config{}.CacheKey() = %s, want %s", base, want)
+	}
+	// Defaults spelled out, every pure-scheduling knob and the private
+	// reference switch collapse onto the zero config's key.
 	same := []Config{
 		{Algebra: AlgebraRobust, Order: OrderNatural},
 		{LocalBacktracks: 100, SeqBacktracks: 100, MaxFrames: 32},
 		{Broadcast: true, Steal: true},
-		{FullEval: true, ScalarCredit: true},
+		{reference: true},
 		{ConeSets: ConeSetsCompressed},
 	}
 	for _, c := range same {

@@ -227,7 +227,7 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 		st := compact.Apply(s.circuit.c, sum, compact.Options{
 			Algebra:  opts.Algebra,
 			Seed:     s.cfg.Seed,
-			FullEval: s.cfg.FullEval,
+			FullEval: opts.Reference,
 		})
 		if !st.Complete {
 			return nil, errors.New("atpg: compaction refused: recorded detection sets are absent or incomplete")
