@@ -116,7 +116,7 @@ func BenchmarkGenerate(b *testing.B) {
 // BenchmarkGenerate: the same generation-phase run with every layer on
 // its reference path (scalar X-fill lanes and probe scoring, full
 // levelized walks; core.Options.Reference). The results are
-// bit-identical (TestReferenceInvariance); the ratio of the two
+// bit-identical (TestBatchedSearchInvariance); the ratio of the two
 // benchmarks is the combined word-parallel and event-driven speedup.
 func BenchmarkGenerateReference(b *testing.B) {
 	for _, name := range []string{"s298", "s386", "s641", "s1196"} {

@@ -131,8 +131,9 @@ type Options struct {
 	// instead of the event-driven cone kernels in tdsim, fausim, semilet
 	// and compaction. Both paths enumerate identical candidates, fills and
 	// decisions, so Summaries are bit-identical (Detects included) at
-	// every worker count — TestReferenceInvariance pins it. The switch
-	// exists only for differential testing and benchmarking.
+	// every worker count — TestBatchedSearchInvariance,
+	// TestEventDrivenInvariance and TestBatchedCreditInvariance pin it.
+	// The switch exists only for differential testing and benchmarking.
 	Reference bool
 	// ConeSets selects the representation of the shared topology's lazy
 	// per-stem cone membership sets: "" or "auto" (pick per stem), "dense"

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"testing"
 
 	"fogbuster/internal/bench"
@@ -78,44 +79,90 @@ func TestOrderingWorkerInvariance(t *testing.T) {
 	}
 }
 
-// TestReferenceInvariance pins every reference path into the
-// determinism contract: the default run (word-parallel credit sweep,
-// lane-parallel X-fill trials and decision probes, event-driven cone
-// kernels) must produce a Summary bit-identical to Options.Reference at
-// every worker count, and the reference run itself must not depend on
-// the worker count. Compact drops the credit skip filter and records
-// the complete detection sets the compactor replays, so there the
-// Detects are compared element by element too.
-func TestReferenceInvariance(t *testing.T) {
-	runs := []struct {
-		name string
-		opts Options
-	}{
-		{"reference/16", Options{Reference: true, Workers: 16}},
-		{"default/1", Options{Workers: 1}},
-		{"default/4", Options{Workers: 4}},
-		{"default/16", Options{Workers: 16}},
+// referenceRuns memoizes the Options.Reference run at one worker per
+// (circuit, Compact) pair. The run is a pure function of its inputs, so
+// the three reference tests below share it instead of recomputing it.
+var referenceRuns = map[string]*Summary{}
+
+func referenceRun(name string, compact bool) *Summary {
+	key := fmt.Sprintf("%s/compact=%v", name, compact)
+	if s, ok := referenceRuns[key]; ok {
+		return s
 	}
+	s := MustNew(bench.ProfileByName(name).Circuit(), Options{Reference: true, Workers: 1, Compact: compact}).Run()
+	referenceRuns[key] = s
+	return s
+}
+
+// checkReference runs each option set on s27, s298 and s386 and
+// requires a Summary bit-identical to the reference run at one worker;
+// under Compact the recorded Detects must match element by element.
+func checkReference(t *testing.T, compact bool, runs map[string]Options) {
+	t.Helper()
+	names := make([]string, 0, len(runs))
+	for run := range runs {
+		names = append(names, run)
+	}
+	sort.Strings(names)
 	for _, name := range []string{"s27", "s298", "s386"} {
-		c := bench.ProfileByName(name).Circuit()
-		for _, compact := range []bool{false, true} {
-			ref := MustNew(c, Options{Reference: true, Workers: 1, Compact: compact}).Run()
-			refS := summarize(ref)
-			for _, r := range runs {
-				label := fmt.Sprintf("%s/%s/compact=%v", name, r.name, compact)
-				opts := r.opts
-				opts.Compact = compact
-				got := MustNew(c, opts).Run()
-				if gotS := summarize(got); gotS != refS {
-					t.Errorf("%s diverged from reference/1:\n--- reference\n%s--- got\n%s", label, refS, gotS)
-					continue
-				}
-				if compact {
-					compareDetects(t, label, ref, got)
-				}
+		ref := referenceRun(name, compact)
+		refS := summarize(ref)
+		for _, run := range names {
+			opts := runs[run]
+			opts.Compact = compact
+			got := MustNew(bench.ProfileByName(name).Circuit(), opts).Run()
+			label := fmt.Sprintf("%s/%s/compact=%v", name, run, compact)
+			if gotS := summarize(got); gotS != refS {
+				t.Errorf("%s diverged from reference/1:\n--- reference\n%s--- got\n%s", label, refS, gotS)
+				continue
+			}
+			if compact {
+				compareDetects(t, label, ref, got)
 			}
 		}
 	}
+}
+
+// TestBatchedSearchInvariance pins the generation-phase batching into
+// the determinism contract: the lane-parallel X-fill trials and
+// decision probes (the default) must produce a Summary bit-identical to
+// the scalar reference path (Options.Reference) — which enumerates the
+// identical fill lanes and probe frames one at a time — at every worker
+// count, and the reference run itself must not depend on the worker
+// count.
+func TestBatchedSearchInvariance(t *testing.T) {
+	checkReference(t, false, map[string]Options{
+		"reference/16": {Reference: true, Workers: 16},
+		"default/1":    {Workers: 1},
+		"default/4":    {Workers: 4},
+		"default/16":   {Workers: 16},
+	})
+}
+
+// TestEventDrivenInvariance pins the selective-trace substrate into the
+// determinism contract: the event-driven kernels (the default) must
+// produce a Summary bit-identical to the full-eval reference
+// (Options.Reference) at every worker count — Detects included, because
+// Compact drops the credit skip filter and records the complete
+// detection sets the compactor replays.
+func TestEventDrivenInvariance(t *testing.T) {
+	checkReference(t, true, map[string]Options{
+		"default/1": {Workers: 1},
+		"default/4": {Workers: 4},
+	})
+}
+
+// TestBatchedCreditInvariance pins the word-parallel credit sweep into
+// the determinism contract: under Compact every candidate of every
+// window is swept, so the batched path (the default) must record the
+// same detection sets as the scalar reference (Options.Reference) with
+// many workers racing, and the reference itself must not depend on the
+// worker count.
+func TestBatchedCreditInvariance(t *testing.T) {
+	checkReference(t, true, map[string]Options{
+		"reference/16": {Reference: true, Workers: 16},
+		"default/16":   {Workers: 16},
+	})
 }
 
 // compareDetects reports the first recorded detection that differs
