@@ -30,8 +30,6 @@ type config struct {
 	workers   int
 	compact   bool
 	seed      int64
-	broadcast bool
-	steal     bool
 	coneSets  string
 	jsonOut   string
 	order     string
@@ -53,8 +51,6 @@ func parseArgs(argv []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&cfg.workers, "workers", 0, "ATPG worker count (0 = all CPUs, <0 = single worker); results are identical at any count")
 	fs.Int64Var(&cfg.seed, "seed", 0, "run seed: drives the random X-fill, the ADI ordering campaign and the splice fills (one seed, one table, at any worker count)")
 	fs.BoolVar(&cfg.compact, "compact", false, "compact every test set and report vectors before/after")
-	fs.BoolVar(&cfg.broadcast, "broadcast", false, "cross-worker detected-set broadcast (pure scheduling; results are identical)")
-	fs.BoolVar(&cfg.steal, "steal", false, "work-stealing claim ranges instead of the shared counter (pure scheduling; results are identical)")
 	fs.StringVar(&cfg.coneSets, "conesets", "auto", "cone-set representation: auto, dense or compressed (memory/speed trade; results are identical)")
 	fs.StringVar(&cfg.jsonOut, "json", "", "write every run's canonical atpg.Result as one JSON array to this file (- for stdout)")
 	fs.StringVar(&cfg.order, "order", "natural", "fault-targeting order: natural, topo, scoap or adi")
@@ -87,8 +83,6 @@ func (cfg *config) engineConfig() atpg.Config {
 		Seed:            cfg.seed,
 		Workers:         cfg.workers,
 		Compact:         cfg.compact,
-		Broadcast:       cfg.broadcast,
-		Steal:           cfg.steal,
 		ConeSets:        cfg.coneSets,
 	}
 }

@@ -37,8 +37,6 @@ type config struct {
 	workers   int
 	compact   bool
 	seed      int64
-	broadcast bool
-	steal     bool
 	coneSets  string
 	maxTarg   int
 	timeout   time.Duration
@@ -72,8 +70,6 @@ func parseArgs(argv []string, stderr io.Writer) (*config, error) {
 	fs.BoolVar(&cfg.compact, "compact", false, "compact the test set (reverse-order drop + overlap merge) after generation")
 	fs.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile (taken after the run) to this file")
-	fs.BoolVar(&cfg.broadcast, "broadcast", false, "cross-worker detected-set broadcast (pure scheduling; results are identical)")
-	fs.BoolVar(&cfg.steal, "steal", false, "work-stealing claim ranges instead of the shared counter (pure scheduling; results are identical)")
 	fs.StringVar(&cfg.coneSets, "conesets", "auto", "cone-set representation: auto, dense or compressed (memory/speed trade; results are identical)")
 	fs.IntVar(&cfg.maxTarg, "maxtargets", 0, "budget the run to the first N targeting positions (0 = the whole universe)")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "wall-clock deadline for the run (e.g. 30s, 5m; 0 = none); an expired run still writes the committed-prefix partial result and exits 3")
@@ -119,8 +115,6 @@ func (cfg *config) engineConfig() atpg.Config {
 		Seed:            cfg.seed,
 		Workers:         cfg.workers,
 		Compact:         cfg.compact,
-		Broadcast:       cfg.broadcast,
-		Steal:           cfg.steal,
 		ConeSets:        cfg.coneSets,
 		MaxTargets:      cfg.maxTarg,
 	}
@@ -204,14 +198,7 @@ func run(cfg *config, stdout, stderr io.Writer) int {
 			ticked := false
 			for ev := range events {
 				if ev.Kind == atpg.EventProgress {
-					line := fmt.Sprintf("\rtdatpg: %d/%d faults", ev.Done, ev.Total)
-					if ev.Skipped > 0 {
-						line += fmt.Sprintf(", %d skipped", ev.Skipped)
-					}
-					if ev.Stolen > 0 {
-						line += fmt.Sprintf(", %d steals", ev.Stolen)
-					}
-					fmt.Fprint(stderr, line)
+					fmt.Fprintf(stderr, "\rtdatpg: %d/%d faults", ev.Done, ev.Total)
 					ticked = true
 				}
 			}
@@ -252,10 +239,6 @@ func run(cfg *config, stdout, stderr io.Writer) int {
 	fmt.Fprintln(stdout, c.Stats())
 	fmt.Fprintf(stdout, "model=%s order=%s tested=%d (explicit %d) untestable=%d aborted=%d patterns=%d time=%v\n",
 		res.Algebra, res.Order, res.Tested, res.Explicit, res.Untestable, res.Aborted, res.Patterns, res.Runtime)
-	if res.BroadcastSkips > 0 || res.Steals > 0 {
-		fmt.Fprintf(stdout, "scale-out: %d broadcast skips (%d regenerated), %d steals\n",
-			res.BroadcastSkips, res.BroadcastMisses, res.Steals)
-	}
 	if st := res.Compaction; st != nil {
 		fmt.Fprintf(stdout, "compaction: vectors %d -> %d, sequences %d -> %d (%d dropped, %d pairs spliced saving %d vectors)\n",
 			st.PatternsBefore, st.PatternsAfter, st.Sequences, st.Kept, st.Dropped, st.Splices, st.SplicedFrames)

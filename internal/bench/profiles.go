@@ -91,8 +91,8 @@ var Profiles = []Profile{
 // Table 3: the two biggest ISCAS'89 machines, reconstructed with the same
 // calibrated synthesizer. The paper never ran them (its prototype was
 // reported on circuits up to ~500 gates), so there is no PaperRow; they
-// exist to exercise the scale-out machinery — memory-lean cone sets,
-// broadcast, work stealing, budgeted runs — at realistic node counts.
+// exist to exercise the scale-out machinery — memory-lean cone sets and
+// budgeted runs — at realistic node counts.
 // They are deliberately NOT part of Profiles: the Table 3 experiments and
 // integration tests iterate that slice, and a full ATPG run over ~20k
 // gates is a benchmark workload, not a test.

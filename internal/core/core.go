@@ -141,24 +141,6 @@ type Options struct {
 	// lists). Purely a memory/speed trade — every policy answers cone
 	// queries identically — so results never depend on it.
 	ConeSets string
-	// Broadcast enables the cross-worker detected-set broadcast: workers
-	// publish the detection list of every completed sequence before its
-	// commit turn, and other workers consult that advisory snapshot before
-	// claiming a fault and between local alternatives, skipping faults a
-	// finished sequence already covers. The merge loop stays the sole
-	// authority — an advisory skip whose coverer is discarded at commit is
-	// regenerated inline, deterministically — so the Summary remains
-	// bit-identical to a run without the broadcast, at every worker count.
-	// Only Runtime and the observability counters (Summary.BroadcastSkips,
-	// Summary.BroadcastMisses) change.
-	Broadcast bool
-	// Steal replaces the shared claim counter with per-worker striped
-	// position ranges plus work-stealing: a worker whose range runs dry
-	// takes the back half of the largest remaining range. Claim order is
-	// pure scheduling — commits still follow the canonical targeting
-	// permutation — so the Summary is bit-identical to the stock claimer;
-	// only Runtime and Summary.Steals change.
-	Steal bool
 	// MaxTargets, when positive, caps the run at the first MaxTargets
 	// positions of the targeting permutation; every later fault is left
 	// Pending (it may still be credited TestedBySim by an in-budget
@@ -168,10 +150,10 @@ type Options struct {
 	// circuits reproducible.
 	MaxTargets int
 	// ShardLo and ShardHi restrict the run to targeting positions
-	// [ShardLo, ShardHi) of the ordering permutation: claiming, striping
-	// and stealing stay inside the window and every position outside it
-	// is left as preloaded (Pending by default). ShardHi == 0 means the
-	// end of the targeted prefix, so the zero values keep the ordinary
+	// [ShardLo, ShardHi) of the ordering permutation: claiming stays
+	// inside the window and every position outside it is left as
+	// preloaded (Pending by default). ShardHi == 0 means the end of the
+	// targeted prefix, so the zero values keep the ordinary
 	// whole-universe run; both bounds are clamped to the prefix. A
 	// mid-universe shard almost always wants DeferCredit too — the in-run
 	// credit of positions [0, ShardLo) is unknowable here — which is why
@@ -184,9 +166,8 @@ type Options struct {
 	// ever classified TestedBySim during the run. A later merge across
 	// shard windows replays the credit chronology from the recorded sets
 	// and reproduces the ordinary run bit for bit; see pkg/atpg
-	// MergeResults. The advisory broadcast is forced off (its skips
-	// assume in-run credit) and Compact is rejected (compaction needs the
-	// in-run chronology).
+	// MergeResults. Compact is rejected (compaction needs the in-run
+	// chronology).
 	DeferCredit bool
 	// Preload seeds the authoritative status array before the run with
 	// the committed statuses of a checkpoint being resumed; positions the
@@ -296,16 +277,6 @@ type Summary struct {
 	// ValidationFailures counts generated sequences the independent
 	// checker rejected; it must be zero and exists as a self-check.
 	ValidationFailures int
-	// BroadcastSkips counts the advisory skips workers took under
-	// Options.Broadcast; BroadcastMisses is the subset the merge loop had
-	// to take back by regenerating inline (the skipped fault was still
-	// pending when its position committed). Steals counts range-stealing
-	// operations under Options.Steal. All three are scheduling-dependent
-	// observability counters, like Runtime: they vary run to run and are
-	// excluded from canonical results.
-	BroadcastSkips  int
-	BroadcastMisses int
-	Steals          int
 	// SeqOrder lists the Results indices of explicitly tested faults in
 	// generation (commit) order; test-set compaction replays it in
 	// reverse.
@@ -440,18 +411,15 @@ func MustNew(c *netlist.Circuit, opts Options) *Engine {
 
 // faultOutcome is one worker's result for one claimed targeting
 // position (a fault index when no ordering permutation is active). An
-// outcome with status Pending marks a fault the worker skipped: because
-// the merge loop had already credited it (authoritative, always safe),
-// or — advisory set — because the cross-worker broadcast claimed a
-// completed sequence covers it. The merge loop re-checks advisory skips
-// and regenerates the fault inline when the claim did not hold.
+// outcome with status Pending marks a fault the worker skipped because
+// the merge loop had already credited it, which is always safe: status
+// never returns to Pending.
 type faultOutcome struct {
 	idx      int
 	status   Status
 	seq      *TestSequence
 	detected []faults.Delay // faults the sequence additionally detects
 	valFail  int
-	advisory bool
 }
 
 // Run processes the complete delay fault universe and returns the
@@ -541,39 +509,24 @@ func (e *Engine) RunContext(ctx context.Context) (*Summary, error) {
 		if workers > hi-lo {
 			workers = hi - lo
 		}
-		var claims claimer
-		if e.opts.Steal {
-			claims = newStealClaimer(lo, hi, workers)
-		} else {
-			claims = newCounterClaimer(lo, hi)
-		}
-		var bcast *broadcast
-		if e.opts.Broadcast && !e.opts.DeferCredit {
-			bcast = newBroadcast(n)
-		}
 		rs := &runState{
 			all:     all,
 			perm:    perm,
 			status:  status,
-			claims:  claims,
-			bcast:   bcast,
 			results: make(chan faultOutcome, workers),
+			lo:      lo,
+			hi:      hi,
 		}
 		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
+		for range workers {
 			wg.Add(1)
-			go func(self int) {
+			go func() {
 				defer wg.Done()
-				e.newWorker().run(ctx, rs, self)
-			}(i)
+				e.newWorker().run(ctx, rs)
+			}()
 		}
-		committed = e.merge(ctx, sum, rs, lo, hi)
+		committed = e.merge(ctx, sum, rs)
 		wg.Wait()
-		sum.Steals = int(claims.steals())
-		if bcast != nil {
-			sum.BroadcastSkips = int(bcast.skips.Load())
-			sum.BroadcastMisses = int(bcast.misses.Load())
-		}
 	}
 	sum.Cursor = committed
 
@@ -602,25 +555,19 @@ func (e *Engine) RunContext(ctx context.Context) (*Summary, error) {
 
 // merge commits worker outcomes strictly in targeting order (positions
 // in the ordering permutation; fault order when perm is nil) over the
-// window [lo, hi) and returns the final cursor — the next position it
-// would have committed. Out-of-order arrivals wait in a reorder buffer;
-// a committed Tested outcome applies its simulation credit to every
-// still-pending fault (unless Options.DeferCredit moves that replay to
-// merge time across shards), and an outcome for a fault that an earlier
-// commit credited is discarded, exactly reproducing the serial
-// processing order. An advisory skip (broadcast) whose fault is still
-// pending at its commit turn is a mis-speculation: the loop regenerates
-// it inline on a lazily created worker, producing bit for bit the
-// outcome the skipping worker would have — process is a pure function of
-// the fault index — so the commit chronology never deviates from the
-// broadcast-free run. Options.OnEvent observes every commit in that
+// run's window [rs.lo, rs.hi) and returns the final cursor — the next
+// position it would have committed. Out-of-order arrivals wait in a
+// reorder buffer; a committed Tested outcome applies its simulation
+// credit to every still-pending fault (unless Options.DeferCredit moves
+// that replay to merge time across shards), and an outcome for a fault
+// that an earlier commit credited is discarded, exactly reproducing the
+// serial processing order. Options.OnEvent observes every commit in that
 // order. A done context stops the loop before the next commit.
-func (e *Engine) merge(ctx context.Context, sum *Summary, rs *runState, lo, hi int) int {
+func (e *Engine) merge(ctx context.Context, sum *Summary, rs *runState) int {
 	emit := e.opts.OnEvent
-	var mw *worker // lazy; only advisory mis-speculations need it
 	reorder := make(map[int]faultOutcome)
-	cursor := lo
-	for cursor < hi {
+	cursor := rs.lo
+	for cursor < rs.hi {
 		var o faultOutcome
 		select {
 		case o = <-rs.results:
@@ -636,20 +583,6 @@ func (e *Engine) merge(ctx context.Context, sum *Summary, rs *runState, lo, hi i
 			delete(reorder, cursor)
 			fi := rs.faultAt(cursor)
 			if Status(rs.status[fi].Load()) == Pending {
-				if cur.advisory {
-					// The skipped fault is still pending: the sequence the
-					// broadcast promised was discarded at its own commit.
-					// Regenerate here, deterministically.
-					rs.bcast.misses.Add(1)
-					var interrupted bool
-					if mw == nil {
-						mw = e.newWorker()
-					}
-					cur, interrupted = mw.process(ctx, rs, cursor, fi, false)
-					if interrupted {
-						return cursor
-					}
-				}
 				rs.status[fi].Store(uint32(cur.status))
 				sum.ValidationFailures += cur.valFail
 				if emit != nil && cur.status != Pending {
@@ -679,14 +612,7 @@ func (e *Engine) merge(ctx context.Context, sum *Summary, rs *runState, lo, hi i
 			}
 			cursor++
 			if emit != nil {
-				ev := Event{Kind: EventProgress, Done: cursor, Total: hi}
-				if rs.bcast != nil {
-					// Net useful skips: advisory skips minus the subset
-					// regenerated here.
-					ev.Skipped = int(rs.bcast.skips.Load() - rs.bcast.misses.Load())
-				}
-				ev.Stolen = int(rs.claims.steals())
-				emit(ev)
+				emit(Event{Kind: EventProgress, Done: cursor, Total: rs.hi})
 			}
 		}
 	}

@@ -21,10 +21,11 @@ const (
 )
 
 // Event is one ordered notification emitted by the merge loop as it
-// commits worker outcomes in targeting order. The stream is a
+// commits worker outcomes in targeting order. Every field is a
 // deterministic function of the circuit and the options — independent of
-// worker count and scheduling — except that a cancelled run truncates
-// it; every event is delivered before the commit of the next targeting
+// worker count and scheduling — so two runs of one configuration emit
+// identical streams, except that a cancelled run truncates its stream.
+// Every event is delivered before the commit of the next targeting
 // position, so consumers observe exactly the serial chronology.
 type Event struct {
 	Kind EventKind
@@ -51,11 +52,4 @@ type Event struct {
 	// Total is the number of positions this run will process — the whole
 	// universe, or Options.MaxTargets on a budgeted run.
 	Done, Total int
-	// Skipped and Stolen carry the scheduling counters at this commit
-	// (EventProgress only): net advisory broadcast skips (taken minus
-	// regenerated) and range steals. Unlike every other Event field they
-	// are scheduling-dependent; both stay zero unless the corresponding
-	// option (Broadcast, Steal) is on, so the stream remains a
-	// deterministic function of the options whenever the knobs are off.
-	Skipped, Stolen int
 }

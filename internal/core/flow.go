@@ -134,16 +134,32 @@ func (w *worker) seedLane(attempt, lane int) *rand.Rand {
 
 // runState bundles the shared coordination state of one RunContext
 // execution: the fault universe, the targeting permutation, the
-// authoritative status array (written only by the merge loop), the
-// position claimer, the optional advisory broadcast, and the outcome
-// channel into the merge loop.
+// authoritative status array (written only by the merge loop), the claim
+// counter over the run's window, and the outcome channel into the merge
+// loop.
 type runState struct {
 	all     []faults.Delay
 	perm    []int
 	status  []atomic.Uint32
-	claims  claimer
-	bcast   *broadcast
 	results chan faultOutcome
+
+	// next counts the positions handed out so far. Claim order is pure
+	// scheduling — the merge loop commits outcomes in canonical
+	// permutation order whatever it is — but one shared counter handing
+	// positions out in ascending order from lo keeps the claims close to
+	// the commit cursor, which bounds the merge loop's reorder buffer at
+	// O(workers). The window [lo, hi) is the whole targeted prefix for an
+	// ordinary run and a sub-range of it for a shard
+	// (Options.ShardLo/ShardHi).
+	next   atomic.Int64
+	lo, hi int
+}
+
+// claim hands out the next targeting position of the window, exactly
+// once across all workers, or ok=false when the window is exhausted.
+func (rs *runState) claim() (p int, ok bool) {
+	p = rs.lo + int(rs.next.Add(1)) - 1
+	return p, p < rs.hi
 }
 
 // faultAt maps a targeting position to its fault index.
@@ -154,71 +170,33 @@ func (rs *runState) faultAt(p int) int {
 	return p
 }
 
-// stopReason classifies why a search ended early.
-type stopReason uint8
-
-const (
-	// stopNone: the search ran to its natural conclusion.
-	stopNone stopReason = iota
-	// stopInterrupted: a done context; the outcome must not be committed.
-	stopInterrupted
-	// stopCovered: the authoritative status array classified the fault
-	// mid-search (the merge loop committed a crediting sequence); an
-	// empty outcome is safe because status never returns to Pending.
-	stopCovered
-	// stopAdvisory: the advisory broadcast claims a completed-but-not-yet
-	// committed sequence detects the fault; the merge loop re-checks and
-	// regenerates if the claim does not hold at commit time.
-	stopAdvisory
-)
-
-// run claims targeting positions from the claimer until the universe is
-// exhausted, sending exactly one outcome per claimed position. A fault
-// the merge loop has already credited is skipped with an empty outcome;
-// that check is advisory (a stale read costs a wasted generation that
-// the merge loop discards), so no lock is ever held. With the broadcast
-// enabled the worker also consults the cross-worker detected-set
-// snapshot — before starting a search and between local alternatives —
-// and skips with an advisory outcome the merge loop knows how to take
-// back (see merge).
+// run claims targeting positions until the window is exhausted, sending
+// exactly one outcome per claimed position. A fault the merge loop has
+// already credited is skipped with an empty outcome; that check is
+// advisory (a stale read costs a wasted generation that the merge loop
+// discards), so no lock is ever held.
 //
 // A done context makes the worker return without completing its claimed
 // position: the merge loop has already stopped committing, so a missing
 // outcome can never stall it, and an interrupted search never produces a
 // (possibly truncated, therefore wrong) outcome.
-func (w *worker) run(ctx context.Context, rs *runState, self int) {
+func (w *worker) run(ctx context.Context, rs *runState) {
 	done := ctx.Done()
 	for {
 		if ctx.Err() != nil {
 			return
 		}
-		p, ok := rs.claims.claim(self)
+		p, ok := rs.claim()
 		if !ok {
 			return
 		}
 		i := rs.faultAt(p)
 		o := faultOutcome{idx: p}
-		switch {
-		case Status(rs.status[i].Load()) != Pending:
-			// Already classified by the merge loop: safe empty skip.
-		case rs.bcast.hit(i):
-			rs.bcast.skips.Add(1)
-			o.advisory = true
-		default:
+		if Status(rs.status[i].Load()) == Pending {
 			var interrupted bool
-			o, interrupted = w.process(ctx, rs, p, i, true)
+			o, interrupted = w.process(ctx, rs, p, i)
 			if interrupted {
 				return
-			}
-			if rs.bcast != nil && o.status == Tested {
-				// Publish the detected set before the outcome enters the
-				// reorder buffer, so other workers stop targeting these
-				// faults while the sequence waits for its commit turn.
-				for _, f := range o.detected {
-					if j, ok := w.e.index[f]; ok {
-						rs.bcast.mark(j)
-					}
-				}
 			}
 		}
 		select {
@@ -234,45 +212,20 @@ func (w *worker) run(ctx context.Context, rs *runState, self int) {
 // position p (fault index i) and returns the outcome, or interrupted
 // when a done context cut the search short (the outcome is then
 // meaningless and must not be sent or committed). It is deterministic in
-// (engine, fault index): the merge loop calls it to regenerate an
-// advisory skip that did not hold, and gets bit for bit the outcome the
-// skipping worker would have produced. advisory enables the mid-search
-// broadcast checks; the merge loop's regeneration disables them (it is
-// the authority the checks would consult).
-func (w *worker) process(ctx context.Context, rs *runState, p, i int, advisory bool) (faultOutcome, bool) {
+// (engine, fault index), whichever worker runs it.
+func (w *worker) process(ctx context.Context, rs *runState, p, i int) (faultOutcome, bool) {
 	w.fseed = faultSeed(w.e.opts.Seed, i)
 	w.attempts = 0
 	w.rng = rand.New(rand.NewSource(w.fseed))
 	o := faultOutcome{idx: p}
-	var check func() stopReason
-	if advisory && w.e.opts.Broadcast {
-		check = func() stopReason {
-			if Status(rs.status[i].Load()) != Pending {
-				return stopCovered
-			}
-			if rs.bcast.hit(i) {
-				return stopAdvisory
-			}
-			return stopNone
-		}
-	}
-	var stop stopReason
 	var ff *tdsim.FastFrame
-	o.seq, ff, o.status, o.valFail, stop = w.generate(ctx, rs.all[i], check)
-	switch stop {
-	case stopInterrupted:
+	var interrupted bool
+	o.seq, ff, o.status, o.valFail, interrupted = w.generate(ctx, rs.all[i])
+	if interrupted || ctx.Err() != nil {
 		// An outcome sent to the merge loop must always be the complete
 		// deterministic one — the loop may commit it even after
 		// cancellation — so a worker that noticed the done context bails
 		// out entirely rather than, say, skipping the credit sweep.
-		return o, true
-	case stopCovered:
-		return faultOutcome{idx: p}, false
-	case stopAdvisory:
-		rs.bcast.skips.Add(1)
-		return faultOutcome{idx: p, advisory: true}, false
-	}
-	if ctx.Err() != nil {
 		return o, true
 	}
 	if o.status == Tested && !w.e.opts.DisableFaultSim {
@@ -288,10 +241,7 @@ func (w *worker) process(ctx context.Context, rs *runState, p, i int, advisory b
 		// detect time and is in the filtered list either way. The
 		// deferred-credit merge (pkg/atpg MergeResults) additionally
 		// needs the complete set because the globally-pending faults
-		// of other shards are unknowable here. The advisory broadcast never
-		// enters this filter: a broadcast-covered fault whose coverer is
-		// later discarded must still appear in detection lists, or its
-		// credit would depend on claim timing.
+		// of other shards are unknowable here.
 		skip := func(f faults.Delay) bool {
 			j, ok := w.e.index[f]
 			return !ok || Status(rs.status[j].Load()) != Pending
@@ -319,12 +269,10 @@ func (w *worker) process(ctx context.Context, rs *runState, p, i int, advisory b
 // the local generator for the next distinct local test. On Tested it also
 // returns the validated fast frame (the winning X-fill completion), so
 // the credit sweep never re-derives it. It also returns how many
-// candidate sequences the independent validator rejected, and a
-// stopReason when the search ended early (the other return values are
-// then meaningless and must not be committed). check, when non-nil, is
-// consulted once per local alternative — the same granularity as
-// cancellation — and aborts the search with its verdict.
-func (w *worker) generate(ctx context.Context, f faults.Delay, check func() stopReason) (*TestSequence, *tdsim.FastFrame, Status, int, stopReason) {
+// candidate sequences the independent validator rejected, and whether a
+// done context interrupted the search (the other return values are then
+// meaningless and must not be committed).
+func (w *worker) generate(ctx context.Context, f faults.Delay) (*TestSequence, *tdsim.FastFrame, Status, int, bool) {
 	gen := tdgen.New(w.net, f, w.e.meas, tdgen.Options{
 		Algebra:       w.e.alg,
 		MaxBacktracks: w.e.opts.LocalBacktracks,
@@ -339,21 +287,16 @@ func (w *worker) generate(ctx context.Context, f faults.Delay, check func() stop
 	for {
 		// Checked once per local alternative: each tdgen/semilet phase is
 		// budget-bounded, so this is the promptness granularity of
-		// cancellation and of the broadcast skip.
+		// cancellation.
 		if ctx.Err() != nil {
-			return nil, nil, Pending, valFail, stopInterrupted
-		}
-		if check != nil {
-			if r := check(); r != stopNone {
-				return nil, nil, Pending, valFail, r
-			}
+			return nil, nil, Pending, valFail, true
 		}
 		sol, st := gen.Next()
 		switch st {
 		case tdgen.Untestable:
-			return nil, nil, Untestable, valFail, stopNone
+			return nil, nil, Untestable, valFail, false
 		case tdgen.Aborted:
-			return nil, nil, Aborted, valFail, stopNone
+			return nil, nil, Aborted, valFail, false
 		}
 
 		seq := &TestSequence{
@@ -369,7 +312,7 @@ func (w *worker) generate(ctx context.Context, f faults.Delay, check func() stop
 		if sol.ObservePO < 0 {
 			prop, pst := w.sem.Propagate(w.handoff(sol), budget)
 			if pst == semilet.Aborted {
-				return nil, nil, Aborted, valFail, stopNone
+				return nil, nil, Aborted, valFail, false
 			}
 			if pst != semilet.Success {
 				continue // backtrack into the local generator
@@ -382,7 +325,7 @@ func (w *worker) generate(ctx context.Context, f faults.Delay, check func() stop
 		// state of the local test.
 		sync, sst := w.sem.SynchronizeWith(sol.State0, budget, !w.e.opts.StrictInit)
 		if sst == semilet.Aborted {
-			return nil, nil, Aborted, valFail, stopNone
+			return nil, nil, Aborted, valFail, false
 		}
 		if sst != semilet.Success {
 			continue
@@ -396,9 +339,9 @@ func (w *worker) generate(ctx context.Context, f faults.Delay, check func() stop
 				valFail++
 				continue
 			}
-			return seq, ff, Tested, valFail, stopNone
+			return seq, ff, Tested, valFail, false
 		}
-		return seq, nil, Tested, valFail, stopNone
+		return seq, nil, Tested, valFail, false
 	}
 }
 

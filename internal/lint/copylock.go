@@ -11,9 +11,10 @@ import (
 //  1. by-value copies of structs holding sync.* or sync/atomic.* state
 //     (assignment from an existing value, call arguments, value receivers,
 //     returns, and range clauses) — a copied mutex guards nothing and a
-//     copied atomic forks its value; the broadcast set and the progress-
-//     boundary tracker are exactly the structs this bites. Fresh composite
-//     literals are fine: a value that has never been shared can be moved.
+//     copied atomic forks its value; the engine's runState (its shared
+//     claim counter) and the progress-boundary tracker are exactly the
+//     structs this bites. Fresh composite literals are fine: a value that
+//     has never been shared can be moved.
 //
 //  2. mixed atomic/plain access to one field: a field passed by address to
 //     a sync/atomic function anywhere in the package must never also be

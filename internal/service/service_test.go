@@ -289,7 +289,7 @@ func TestResultCacheReplayByteIdentical(t *testing.T) {
 	third := postJob(t, ts.URL, SubmitRequest{Benchmark: "s27", Config: atpg.Config{
 		Workers: 2, Algebra: atpg.AlgebraRobust, Order: atpg.OrderNatural,
 		LocalBacktracks: 100, SeqBacktracks: 100, MaxFrames: 32,
-		Broadcast: true, // pure scheduling: provably identical result
+		ConeSets: atpg.ConeSetsCompressed, // memory/speed only: provably identical result
 	}})
 	waitDone(t, ts.URL, third.ID)
 	if !bytes.Equal(getResult(t, ts.URL, third.ID), firstBytes) {
@@ -591,12 +591,13 @@ func TestAPIErrors(t *testing.T) {
 	waitDone(t, ts.URL, st.ID)
 }
 
-// TestRemovedReferenceFieldsRejected: the reference-oracle switches are
-// no longer part of the wire Config, so a submit body still naming one
-// is a 400 from the strict decoder, and the error names the field.
+// TestRemovedReferenceFieldsRejected: the reference-oracle switches and
+// the removed scale-out scheduling knobs are no longer part of the wire
+// Config, so a submit body still naming one is a 400 from the strict
+// decoder, and the error names the field.
 func TestRemovedReferenceFieldsRejected(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxWorkersPerJob: 1})
-	for _, field := range []string{"full_eval", "scalar_credit", "scalar_search"} {
+	for _, field := range []string{"full_eval", "scalar_credit", "scalar_search", "broadcast", "steal"} {
 		body := fmt.Sprintf(`{"benchmark":"s27","config":{%q:true}}`, field)
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -14,10 +14,9 @@ import (
 // universes, build the flat CSR topology with per-stem cone sets far
 // below the dense all-stems matrix (the representation that made >10k
 // gate circuits memory-hostile), and complete a budgeted ATPG run with
-// the full scale-out stack — broadcast, stealing, compressed cone sets —
-// on a small fault budget. It is the floor under "the engine runs at
-// industrial node counts", not a performance measurement (EXPERIMENTS.md
-// records those).
+// compressed cone sets on a small fault budget. It is the floor under
+// "the engine runs at industrial node counts", not a performance
+// measurement (EXPERIMENTS.md records those).
 func TestLargeBudgetedSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-profile smoke in -short mode")
@@ -39,15 +38,15 @@ func TestLargeBudgetedSmoke(t *testing.T) {
 		}
 	}
 
-	// One budgeted run per circuit, scale-out stack on. The budgets and
+	// One budgeted run per circuit on compressed cone sets. The budgets and
 	// backtrack limits are tiny on purpose: the smoke pins "completes and
 	// classifies in-budget faults", CI-affordably.
 	for _, tc := range []struct {
 		name string
 		opts core.Options
 	}{
-		{"s15850", core.Options{Workers: 16, MaxTargets: 8, Broadcast: true, Steal: true, ConeSets: "compressed"}},
-		{"s38584", core.Options{Workers: 4, MaxTargets: 2, LocalBacktracks: 10, SeqBacktracks: 10, Broadcast: true, Steal: true, ConeSets: "compressed"}},
+		{"s15850", core.Options{Workers: 16, MaxTargets: 8, ConeSets: "compressed"}},
+		{"s38584", core.Options{Workers: 4, MaxTargets: 2, LocalBacktracks: 10, SeqBacktracks: 10, ConeSets: "compressed"}},
 	} {
 		c := bench.ProfileByName(tc.name).Circuit()
 		sum := core.MustNew(c, tc.opts).Run()

@@ -237,9 +237,9 @@ func Benchmarks() []BenchmarkInfo {
 // the paper's Table 3 (the two biggest ISCAS'89 machines, reconstructed
 // with the same calibrated synthesizer). The paper never ran them, so
 // BenchmarkInfo.Paper is zero; they exist for the scale-out machinery:
-// compressed cone sets, the broadcast and stealing knobs, and budgeted
-// runs via Config.MaxTargets. Benchmarks() deliberately excludes them —
-// the Table 3 experiment set stays what the paper measured.
+// compressed cone sets and budgeted runs via Config.MaxTargets.
+// Benchmarks() deliberately excludes them — the Table 3 experiment set
+// stays what the paper measured.
 func LargeBenchmarks() []BenchmarkInfo {
 	out := make([]BenchmarkInfo, 0, len(bench.LargeProfiles))
 	for _, p := range bench.LargeProfiles {

@@ -94,16 +94,6 @@ type Config struct {
 	// (reverse-order drop + overlap splicing); the statistics land in
 	// Result.Compaction. A cancelled run is never compacted.
 	Compact bool `json:"compact,omitempty"`
-	// Broadcast enables the cross-worker detected-set broadcast: workers
-	// skip faults a completed (not yet committed) sequence already
-	// covers. Pure scheduling — the Result is bit-identical with the knob
-	// on or off, at every worker count; only Runtime and the progress
-	// events' Skipped counter change.
-	Broadcast bool `json:"broadcast,omitempty"`
-	// Steal replaces the shared claim counter with per-worker striped
-	// position ranges plus work stealing. Pure scheduling, like
-	// Broadcast: results never change.
-	Steal bool `json:"steal,omitempty"`
 	// ConeSets selects the representation of the per-stem cone membership
 	// sets: "", "auto", "dense" or "compressed". Purely a memory/speed
 	// trade; results never depend on it. Compressed or auto is what makes
@@ -211,17 +201,15 @@ func (c Config) Canonical() (Config, error) {
 }
 
 // CacheKey returns a deterministic string key for result caching: the
-// compact JSON of the Canonical form with the pure-scheduling knobs
-// (Broadcast, Steal, ConeSets) cleared, since the Result — canonical
-// JSON included — is bit-identical under every setting of those. Workers stays in the key because Result echoes it.
-// Invalid configurations are errors.
+// compact JSON of the Canonical form with ConeSets cleared. ConeSets is
+// a pure memory/speed knob, so the Result — canonical JSON included — is
+// bit-identical under every setting of it. Workers stays in the key
+// because Result echoes it. Invalid configurations are errors.
 func (c Config) CacheKey() (string, error) {
 	canon, err := c.Canonical()
 	if err != nil {
 		return "", err
 	}
-	canon.Broadcast = false
-	canon.Steal = false
 	canon.ConeSets = ""
 	b, err := json.Marshal(canon)
 	if err != nil {
@@ -275,8 +263,6 @@ func (c Config) engineOptions() (core.Options, error) {
 		Order:             h,
 		Reference:         c.reference,
 		Compact:           c.Compact,
-		Broadcast:         c.Broadcast,
-		Steal:             c.Steal,
 		ConeSets:          c.ConeSets,
 		MaxTargets:        c.MaxTargets,
 		DeferCredit:       c.Shards > 0,

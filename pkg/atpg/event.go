@@ -25,10 +25,11 @@ const (
 )
 
 // Event is one ordered notification from a running session, delivered
-// straight off the engine's merge loop in commit (targeting) order. The
-// stream is a deterministic function of the circuit and the Config —
-// independent of worker count and scheduling — except that a cancelled
-// run truncates it.
+// straight off the engine's merge loop in commit (targeting) order.
+// Every field is a deterministic function of the circuit and the Config
+// — independent of worker count and scheduling — so two runs of one
+// Config emit byte-identical streams, except that a cancelled run
+// truncates its stream.
 type Event struct {
 	Kind EventKind `json:"kind"`
 	// Fault names the fault the event concerns (classification, sequence
@@ -47,20 +48,13 @@ type Event struct {
 	// the whole fault universe, or Config.MaxTargets on a budgeted run.
 	Done  int `json:"done,omitempty"`
 	Total int `json:"total,omitempty"`
-	// Skipped and Stolen carry the scale-out scheduling counters at this
-	// commit (EventProgress only): net advisory broadcast skips and range
-	// steals. They are the stream's only scheduling-dependent values and
-	// stay zero unless Config.Broadcast / Config.Steal is set, so the
-	// stream remains fully deterministic with the knobs off.
-	Skipped int `json:"skipped,omitempty"`
-	Stolen  int `json:"stolen,omitempty"`
 }
 
 // eventOf converts an engine event, resolving names against the circuit.
 func eventOf(c *netlist.Circuit, ev core.Event) Event {
 	switch ev.Kind {
 	case core.EventProgress:
-		return Event{Kind: EventProgress, Done: ev.Done, Total: ev.Total, Skipped: ev.Skipped, Stolen: ev.Stolen}
+		return Event{Kind: EventProgress, Done: ev.Done, Total: ev.Total}
 	case core.EventSequenceGenerated:
 		return Event{Kind: EventSequenceGenerated, Fault: ev.Fault.Name(c), Seq: sequenceOf(c, ev.Seq, nil)}
 	case core.EventCreditApplied:

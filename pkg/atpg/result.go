@@ -172,14 +172,20 @@ type Result struct {
 	// Present only when Err is set (a complete run's cursor is implied by
 	// its window); Resume continues a run from here.
 	Cursor int `json:"cursor,omitempty"`
-	// BroadcastSkips, BroadcastMisses and Steals are the scale-out
-	// scheduling counters (Config.Broadcast, Config.Steal). Like Runtime
-	// they vary run to run, but unlike Runtime they are excluded from the
-	// canonical JSON entirely: the encoding stays bit-identical whatever
-	// the scheduling did.
-	BroadcastSkips  int `json:"-"`
-	BroadcastMisses int `json:"-"`
-	Steals          int `json:"-"`
+	// BroadcastSkips is always zero: the advisory detected-set broadcast
+	// it counted no longer exists.
+	//
+	// Deprecated: kept only because the repository benchmark
+	// (perfbench/traced.go) still reads it; it goes away together with
+	// that reader's core.broadcast_skips metric.
+	BroadcastSkips int `json:"-"`
+	// Steals is always zero: the work-stealing claimer it counted no
+	// longer exists.
+	//
+	// Deprecated: kept only because the repository benchmark
+	// (perfbench/traced.go) still reads it; it goes away together with
+	// that reader's core.steals metric.
+	Steals int `json:"-"`
 	// Shard describes the window of the targeting order this partial
 	// Result covers when the run was one shard of a distributed run
 	// (Config.Shards); nil for an ordinary run. MergeResults consumes it
@@ -357,9 +363,6 @@ func resultOf(c *netlist.Circuit, cfg Config, sum *core.Summary, runErr error) *
 		Patterns:           sum.Patterns,
 		Runtime:            sum.Runtime,
 		ValidationFailures: sum.ValidationFailures,
-		BroadcastSkips:     sum.BroadcastSkips,
-		BroadcastMisses:    sum.BroadcastMisses,
-		Steals:             sum.Steals,
 		Faults:             make([]FaultResult, len(sum.Results)),
 		Err:                runErr,
 	}

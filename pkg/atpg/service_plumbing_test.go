@@ -186,12 +186,11 @@ func TestConfigCacheKey(t *testing.T) {
 	if base != want {
 		t.Fatalf("Config{}.CacheKey() = %s, want %s", base, want)
 	}
-	// Defaults spelled out, every pure-scheduling knob and the private
-	// reference switch collapse onto the zero config's key.
+	// Defaults spelled out, the cone-set knob and the private reference
+	// switch collapse onto the zero config's key.
 	same := []Config{
 		{Algebra: AlgebraRobust, Order: OrderNatural},
 		{LocalBacktracks: 100, SeqBacktracks: 100, MaxFrames: 32},
-		{Broadcast: true, Steal: true},
 		{reference: true},
 		{ConeSets: ConeSetsCompressed},
 	}
