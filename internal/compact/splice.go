@@ -39,13 +39,7 @@ func spliceAdjacent(c *netlist.Circuit, sum *core.Summary, kept []int, assigned 
 // pairSeed derives a deterministic confirmation-fill seed per pair
 // (splitmix64 finalizer, like the engine's per-fault seed).
 func pairSeed(seed int64, pair int) int64 {
-	z := uint64(seed) ^ 0xC09DEAD5 ^ 0x9E3779B97F4A7C15*(uint64(pair)+1)
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	return int64(sim.SplitMix64(uint64(seed) ^ 0xC09DEAD5 ^ 0x9E3779B97F4A7C15*(uint64(pair)+1)))
 }
 
 // applier replays candidate splices on the concrete simulators.

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -183,9 +184,10 @@ type Options struct {
 	Compact bool
 	// OnEvent, when non-nil, receives the merge loop's commit
 	// notifications (see Event) synchronously on the RunContext
-	// goroutine, strictly in targeting order. The callback must not call
-	// back into the engine; it never changes the Summary — the stream is
-	// pure observation of the commits.
+	// goroutine, strictly in targeting order, each after its position is
+	// committed. The callback may call Committed but must not otherwise
+	// call back into the engine; it never changes the Summary — the
+	// stream is pure observation of the commits.
 	OnEvent func(Event)
 	// Topology, when non-nil, is a prebuilt simulation topology for the
 	// circuit, letting many engines over the same circuit share one CSR
@@ -319,7 +321,8 @@ type CompactionStats struct {
 // state (circuit view, sequential engine, simulators, X-fill stream)
 // lives on workers cloned from the engine, so Run can shard the fault
 // universe across any number of goroutines without sharing mutable
-// state; the Engine itself holds only read-only inputs.
+// state; besides read-only inputs the Engine holds only a pointer to the
+// latest run's state, which Committed snapshots.
 type Engine struct {
 	c    *netlist.Circuit
 	opts Options
@@ -329,6 +332,7 @@ type Engine struct {
 	topo *sim.Topology    // immutable CSR topology shared by all workers
 
 	index map[faults.Delay]int
+	live  atomic.Pointer[runState] // the preload until RunContext starts
 }
 
 // New prepares an engine for the circuit, rejecting options no run
@@ -396,6 +400,9 @@ func New(c *netlist.Circuit, opts Options) (*Engine, error) {
 	if opts.VariationBudget > 0 {
 		e.tim = timing.Analyze(c, nil)
 	}
+	// Until the first run, Committed reports the preload; the cursor
+	// sits at Lo, so no permutation is needed.
+	e.live.Store(e.newRunState(faults.AllDelay(c), nil))
 	return e, nil
 }
 
@@ -451,13 +458,72 @@ func (e *Engine) Run() *Summary {
 func (e *Engine) RunContext(ctx context.Context) (*Summary, error) {
 	start := time.Now() //lint:allow determinism Summary.Runtime is the one wall-clock field; canonical JSON zeroes it
 	all := faults.AllDelay(e.c)
-	n := len(all)
-	e.index = make(map[faults.Delay]int, n)
+	e.index = make(map[faults.Delay]int, len(all))
 	for i, f := range all {
 		e.index[f] = i
 	}
-	perm := order.Permutation(e.c, all, e.opts.Order, e.opts.Seed)
+	rs := e.newRunState(all, order.Permutation(e.c, all, e.opts.Order, e.opts.Seed))
+	e.live.Store(rs)
+	if rs.hi > rs.lo {
+		workers := e.opts.workerCount()
+		if workers > rs.hi-rs.lo {
+			workers = rs.hi - rs.lo
+		}
+		rs.results = make(chan faultOutcome, workers)
+		var wg sync.WaitGroup
+		for range workers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				e.newWorker().run(ctx, rs)
+			}()
+		}
+		e.merge(ctx, rs)
+		wg.Wait()
+	}
 
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	sum := rs.sum
+	sum.tally(rs.status)
+	sum.Runtime = time.Since(start) //lint:allow determinism Summary.Runtime is the one wall-clock field; canonical JSON zeroes it
+	if sum.Cursor < sum.Hi {
+		// Only a done context makes the merge loop stop short.
+		return sum, ctx.Err()
+	}
+	return sum, nil
+}
+
+// Committed returns a snapshot of the committed prefix of the latest
+// run: the statuses and sequences of targeting positions [Lo, Cursor),
+// the counters tallied from those statuses exactly as RunContext tallies
+// its final Summary, and Perm cut to the committed positions. It is safe
+// to call from any goroutine at any time, including from an OnEvent
+// callback, where it sees exactly the position the event reports. Before
+// the first run it returns the preload (Cursor == Lo). Once RunContext
+// has returned, the snapshot copies the Summary it returned, so a caller
+// that mutates that Summary (compaction does) must not call Committed
+// concurrently.
+func (e *Engine) Committed() *Summary {
+	rs := e.live.Load()
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	out := *rs.sum
+	out.Results = slices.Clone(out.Results)
+	out.SeqOrder = slices.Clone(out.SeqOrder)
+	if out.Perm != nil {
+		out.Perm = slices.Clone(out.Perm[:out.Cursor-out.Lo])
+	}
+	out.tally(rs.status)
+	return &out
+}
+
+// newRunState lays out one run of the fault universe all under the
+// targeting permutation perm (nil means the natural order): the summary
+// skeleton with the cursor at the start of the window, and the status
+// array seeded with Options.Preload.
+func (e *Engine) newRunState(all []faults.Delay, perm []int) *runState {
+	n := len(all)
 	sum := &Summary{Circuit: e.c.Name, Algebra: e.alg.Name(), Order: e.opts.Order.Name()}
 	sum.Results = make([]FaultResult, n)
 	for i, f := range all {
@@ -479,7 +545,7 @@ func (e *Engine) RunContext(ctx context.Context) (*Summary, error) {
 	if lo > hi {
 		lo = hi
 	}
-	sum.Lo, sum.Hi = lo, hi
+	sum.Lo, sum.Hi, sum.Cursor = lo, hi, lo
 	if e.opts.DeferCredit {
 		// Natural order has no materialized permutation (nil means
 		// identity); a shard result still records its window's slice.
@@ -492,129 +558,116 @@ func (e *Engine) RunContext(ctx context.Context) (*Summary, error) {
 		}
 	}
 
-	// status is written only by the merge loop; workers read it to skip
-	// faults that are already classified (a racy read can only cause a
-	// harmless speculative generation, never a wrong result, because the
-	// merge loop re-checks before committing). A resumed run seeds it
-	// with the checkpoint's committed statuses.
+	// A resumed run seeds the status array with the checkpoint's
+	// committed statuses.
 	status := make([]atomic.Uint32, n)
 	for i, st := range e.opts.Preload {
 		if st != Pending {
 			status[i].Store(uint32(st))
 		}
 	}
-	committed := hi
-	if hi > lo {
-		workers := e.opts.workerCount()
-		if workers > hi-lo {
-			workers = hi - lo
-		}
-		rs := &runState{
-			all:     all,
-			perm:    perm,
-			status:  status,
-			results: make(chan faultOutcome, workers),
-			lo:      lo,
-			hi:      hi,
-		}
-		var wg sync.WaitGroup
-		for range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				e.newWorker().run(ctx, rs)
-			}()
-		}
-		committed = e.merge(ctx, sum, rs)
-		wg.Wait()
-	}
-	sum.Cursor = committed
+	return &runState{all: all, perm: perm, status: status, sum: sum, lo: lo, hi: hi}
+}
 
-	for i := range all {
+// tally copies the authoritative statuses into Results and counts the
+// Table 3 columns from them.
+func (s *Summary) tally(status []atomic.Uint32) {
+	s.Tested, s.Explicit, s.Untestable, s.Aborted = 0, 0, 0, 0
+	for i := range status {
 		st := Status(status[i].Load())
-		sum.Results[i].Status = st
+		s.Results[i].Status = st
 		switch st {
 		case Tested:
-			sum.Tested++
-			sum.Explicit++
+			s.Tested++
+			s.Explicit++
 		case TestedBySim:
-			sum.Tested++
+			s.Tested++
 		case Untestable:
-			sum.Untestable++
+			s.Untestable++
 		case Aborted:
-			sum.Aborted++
+			s.Aborted++
 		}
 	}
-	sum.Runtime = time.Since(start) //lint:allow determinism Summary.Runtime is the one wall-clock field; canonical JSON zeroes it
-	if committed < hi {
-		// Only a done context makes the merge loop stop short.
-		return sum, ctx.Err()
-	}
-	return sum, nil
 }
 
 // merge commits worker outcomes strictly in targeting order (positions
 // in the ordering permutation; fault order when perm is nil) over the
-// run's window [rs.lo, rs.hi) and returns the final cursor — the next
-// position it would have committed. Out-of-order arrivals wait in a
-// reorder buffer; a committed Tested outcome applies its simulation
-// credit to every still-pending fault (unless Options.DeferCredit moves
-// that replay to merge time across shards), and an outcome for a fault
-// that an earlier commit credited is discarded, exactly reproducing the
+// run's window [rs.lo, rs.hi), advancing rs.sum.Cursor to the next
+// position it would commit. Out-of-order arrivals wait in a reorder
+// buffer; a committed Tested outcome applies its simulation credit to
+// every still-pending fault (unless Options.DeferCredit moves that
+// replay to merge time across shards), and an outcome for a fault that
+// an earlier commit credited is discarded, exactly reproducing the
 // serial processing order. Options.OnEvent observes every commit in that
 // order. A done context stops the loop before the next commit.
-func (e *Engine) merge(ctx context.Context, sum *Summary, rs *runState) int {
-	emit := e.opts.OnEvent
+func (e *Engine) merge(ctx context.Context, rs *runState) {
+	var evs []Event
 	reorder := make(map[int]faultOutcome)
-	cursor := rs.lo
-	for cursor < rs.hi {
+	// Only this loop writes the cursor, so it reads it without rs.mu.
+	for rs.sum.Cursor < rs.hi {
 		var o faultOutcome
 		select {
 		case o = <-rs.results:
 		case <-ctx.Done():
-			return cursor
+			return
 		}
 		reorder[o.idx] = o
 		for {
-			cur, ok := reorder[cursor]
+			cur, ok := reorder[rs.sum.Cursor]
 			if !ok {
 				break
 			}
-			delete(reorder, cursor)
-			fi := rs.faultAt(cursor)
-			if Status(rs.status[fi].Load()) == Pending {
-				rs.status[fi].Store(uint32(cur.status))
-				sum.ValidationFailures += cur.valFail
-				if emit != nil && cur.status != Pending {
-					emit(Event{Kind: EventFaultClassified, Index: fi, Fault: sum.Results[fi].Fault, Status: cur.status, ValFail: cur.valFail})
-				}
-				if cur.status == Tested {
-					sum.Results[fi].Seq = cur.seq
-					sum.Patterns += cur.seq.Len()
-					sum.SeqOrder = append(sum.SeqOrder, fi)
-					if e.opts.Compact || e.opts.DeferCredit {
-						cur.seq.Detects = cur.detected
-					}
-					if emit != nil {
-						emit(Event{Kind: EventSequenceGenerated, Index: fi, Fault: sum.Results[fi].Fault, Seq: cur.seq})
-					}
-					if !e.opts.DeferCredit {
-						for _, f := range cur.detected {
-							if j, ok := e.index[f]; ok && Status(rs.status[j].Load()) == Pending {
-								rs.status[j].Store(uint32(TestedBySim))
-								if emit != nil {
-									emit(Event{Kind: EventCreditApplied, Index: j, Fault: f, Status: TestedBySim, By: sum.Results[fi].Fault, ByIndex: fi})
-								}
-							}
+			delete(reorder, rs.sum.Cursor)
+			evs = e.commit(rs, cur, evs[:0])
+			for _, ev := range evs {
+				e.opts.OnEvent(ev)
+			}
+		}
+	}
+}
+
+// commit applies the outcome at the cursor under rs.mu and advances the
+// cursor. It returns the position's events appended to evs — none unless
+// Options.OnEvent is set — for merge to emit after the lock is released,
+// so a callback that snapshots the run sees this position committed and
+// cannot deadlock.
+func (e *Engine) commit(rs *runState, cur faultOutcome, evs []Event) []Event {
+	observe := e.opts.OnEvent != nil
+	sum := rs.sum
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	fi := rs.faultAt(sum.Cursor)
+	if Status(rs.status[fi].Load()) == Pending {
+		rs.status[fi].Store(uint32(cur.status))
+		sum.ValidationFailures += cur.valFail
+		if observe && cur.status != Pending {
+			evs = append(evs, Event{Kind: EventFaultClassified, Index: fi, Fault: sum.Results[fi].Fault, Status: cur.status, ValFail: cur.valFail})
+		}
+		if cur.status == Tested {
+			sum.Results[fi].Seq = cur.seq
+			sum.Patterns += cur.seq.Len()
+			sum.SeqOrder = append(sum.SeqOrder, fi)
+			if e.opts.Compact || e.opts.DeferCredit {
+				cur.seq.Detects = cur.detected
+			}
+			if observe {
+				evs = append(evs, Event{Kind: EventSequenceGenerated, Index: fi, Fault: sum.Results[fi].Fault, Seq: cur.seq})
+			}
+			if !e.opts.DeferCredit {
+				for _, f := range cur.detected {
+					if j, ok := e.index[f]; ok && Status(rs.status[j].Load()) == Pending {
+						rs.status[j].Store(uint32(TestedBySim))
+						if observe {
+							evs = append(evs, Event{Kind: EventCreditApplied, Index: j, Fault: f, Status: TestedBySim, By: sum.Results[fi].Fault, ByIndex: fi})
 						}
 					}
 				}
 			}
-			cursor++
-			if emit != nil {
-				emit(Event{Kind: EventProgress, Done: cursor, Total: rs.hi})
-			}
 		}
 	}
-	return cursor
+	sum.Cursor++
+	if observe {
+		evs = append(evs, Event{Kind: EventProgress, Done: sum.Cursor, Total: rs.hi})
+	}
+	return evs
 }

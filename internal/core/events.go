@@ -25,8 +25,9 @@ const (
 // deterministic function of the circuit and the options — independent of
 // worker count and scheduling — so two runs of one configuration emit
 // identical streams, except that a cancelled run truncates its stream.
-// Every event is delivered before the commit of the next targeting
-// position, so consumers observe exactly the serial chronology.
+// A position's events are delivered after that position is committed
+// (Engine.Committed already includes it) and before the next one is, so
+// consumers observe exactly the serial chronology.
 type Event struct {
 	Kind EventKind
 	// Index is the Summary.Results index of the fault the event concerns

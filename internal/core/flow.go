@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/bits"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
 	"fogbuster/internal/faults"
@@ -111,13 +112,7 @@ func (e *Engine) newWorker() *worker {
 // the fill stream — and with it the whole Summary — independent of the
 // order in which workers claim faults.
 func faultSeed(seed int64, i int) int64 {
-	z := uint64(seed) + 0x9E3779B97F4A7C15*(uint64(i)+1)
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return int64(z)
+	return int64(sim.SplitMix64(uint64(seed) + 0x9E3779B97F4A7C15*(uint64(i)+1)))
 }
 
 // seedLane reseeds and returns lane's RNG for the given fill attempt.
@@ -134,14 +129,22 @@ func (w *worker) seedLane(attempt, lane int) *rand.Rand {
 
 // runState bundles the shared coordination state of one RunContext
 // execution: the fault universe, the targeting permutation, the
-// authoritative status array (written only by the merge loop), the claim
-// counter over the run's window, and the outcome channel into the merge
-// loop.
+// authoritative status array, the committed summary, the claim counter
+// over the run's window, and the outcome channel into the merge loop.
 type runState struct {
 	all     []faults.Delay
 	perm    []int
-	status  []atomic.Uint32
 	results chan faultOutcome
+
+	// mu is the commit lock. The merge loop holds it while it applies one
+	// position — status stores, Results[fi].Seq, Patterns, SeqOrder,
+	// ValidationFailures and Cursor in sum — and Engine.Committed holds it
+	// while it copies them, so a snapshot always falls on a position
+	// boundary. Workers never take it: they only Load status, to skip
+	// faults that are already classified.
+	mu     sync.Mutex
+	status []atomic.Uint32
+	sum    *Summary
 
 	// next counts the positions handed out so far. Claim order is pure
 	// scheduling — the merge loop commits outcomes in canonical

@@ -24,13 +24,7 @@ func seedSM64(seed int64, stream uint64) sm64 {
 
 func (p *sm64) next() uint64 {
 	p.s += 0x9E3779B97F4A7C15
-	z := p.s
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
+	return sim.SplitMix64(p.s)
 }
 
 // SetProbe enables decision probing for the engine's next Propagate

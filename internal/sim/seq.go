@@ -39,6 +39,20 @@ func XFill(vec []V3, rng *rand.Rand) []V3 {
 	return out
 }
 
+// SplitMix64 is the splitmix64 finalizer: a bijective scramble in which
+// every output bit depends on every input bit. It is the one mixing step
+// behind the engine's derived seeds and probe streams; each caller keeps
+// its own input mixing (a golden-ratio step per stream or index), so
+// every derived stream is a pure function of its inputs.
+func SplitMix64(z uint64) uint64 {
+	z ^= z >> 30
+	z *= 0xBF58476D1CE4E5B9
+	z ^= z >> 27
+	z *= 0x94D049BB133111EB
+	z ^= z >> 31
+	return z
+}
+
 // KnownCount returns how many values in the vector are not X.
 func KnownCount(vec []V3) int {
 	n := 0

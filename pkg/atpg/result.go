@@ -252,6 +252,30 @@ func (r *Result) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
+// tally recounts the status columns (Tested, Explicit, Untestable,
+// Aborted, Pending) and Patterns from Faults.
+func (r *Result) tally() {
+	r.Tested, r.Explicit, r.Untestable, r.Aborted, r.Pending, r.Patterns = 0, 0, 0, 0, 0, 0
+	for _, fr := range r.Faults {
+		switch fr.Status {
+		case StatusTested:
+			r.Tested++
+			r.Explicit++
+		case StatusTestedBySim:
+			r.Tested++
+		case StatusUntestable:
+			r.Untestable++
+		case StatusAborted:
+			r.Aborted++
+		default:
+			r.Pending++
+		}
+		if fr.Seq != nil {
+			r.Patterns += fr.Seq.Len()
+		}
+	}
+}
+
 // Classified returns the number of processed faults: tested (explicit
 // and credited), untestable and aborted. It equals len(Faults) minus
 // Pending.

@@ -43,11 +43,7 @@ type Session struct {
 	// prefix is the committed prefix of the checkpoint a resumed session
 	// continues from (nil for a fresh run); Run and Checkpoint stitch it
 	// into their Results.
-	track *tracker // live checkpoint state; nil under Config.Compact
-	// startCursor is the targeting position the engine starts at: the
-	// shard window's Lo, the checkpoint's cursor on resume, 0 otherwise.
-	startCursor int
-	prefix      *Result
+	prefix *Result
 
 	mu    sync.Mutex
 	final *Result // the Result Run returned, once it has
@@ -80,18 +76,13 @@ func newSession(c *Circuit, cfg Config, ckpt *Checkpoint) (*Session, error) {
 	if cfg.Shards > 0 {
 		lo, hi := shardRange(effTargets(c.Faults(), cfg), cfg.Shards, cfg.ShardIndex)
 		opts.ShardLo, opts.ShardHi = lo, hi
-		s.startCursor = lo
 	}
 	if ckpt != nil {
 		// The prefix [0 or shard Lo, cursor) is committed: preload its
 		// statuses and start the engine window at the cursor.
 		opts.ShardLo = ckpt.Cursor
 		opts.Preload = preloadOf(ckpt.Result)
-		s.startCursor = ckpt.Cursor
 		s.prefix = ckpt.Result
-	}
-	if !cfg.Compact {
-		s.track = newTracker(c, cfg)
 	}
 	opts.OnEvent = s.emit
 	// Reuse the circuit's memoized topology so concurrent sessions over
@@ -109,7 +100,9 @@ func newSession(c *Circuit, cfg Config, ckpt *Checkpoint) (*Session, error) {
 
 // OnEvent registers a callback receiving every streaming event
 // synchronously on the Run goroutine, in commit order. It must be called
-// before Run and must not call back into the session.
+// before Run. The callback must not call back into the session except
+// for Checkpoint, whose snapshot then includes the position the event
+// reports.
 func (s *Session) OnEvent(fn func(Event)) { s.onEvent = fn }
 
 // Events returns the lossless streaming event channel. It must be
@@ -160,9 +153,6 @@ func (s *Session) DroppedEvents() int64 { return s.dropped.Load() }
 // consumer it returns before converting (name resolution and frame
 // strings would otherwise burn on every commit of a plain Run).
 func (s *Session) emit(ev core.Event) {
-	if s.track != nil {
-		s.track.observe(ev)
-	}
 	if s.onEvent == nil && s.events == nil {
 		return
 	}
@@ -259,7 +249,12 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 	if final != nil {
 		return CheckpointOf(final, s.circuit.ContentHash(), s.cfg)
 	}
-	res := s.track.snapshot(s.startCursor)
+	sum := s.eng.Committed()
+	res := resultOf(s.circuit.c, s.cfg, sum, nil)
+	// The live cursor goes on the Result directly; the inference
+	// CheckpointOf applies to finished Results does not see an in-flight
+	// one.
+	res.Cursor = sum.Cursor
 	if s.prefix != nil {
 		stitchPrefix(res, s.prefix)
 	}
@@ -267,8 +262,5 @@ func (s *Session) Checkpoint() (*Checkpoint, error) {
 	if err != nil {
 		return nil, err // unreachable: cfg was validated at session build
 	}
-	// snapshot records the live cursor on the Result directly; the
-	// inference CheckpointOf applies to finished Results does not see an
-	// in-flight one.
 	return &Checkpoint{CircuitHash: s.circuit.ContentHash(), ConfigKey: key, Cursor: res.Cursor, Result: res}, nil
 }

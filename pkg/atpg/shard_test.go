@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -186,51 +187,169 @@ func TestCheckpointResumeUnsharded(t *testing.T) {
 // TestLiveCheckpointResume takes Session.Checkpoint mid-run — not from
 // a returned partial result — resumes from it, and requires the same
 // byte-identity. This is the path the service's periodic snapshots use.
+// The snapshot reads the engine's committed state under the merge loop's
+// commit lock, so it is taken both inside an OnEvent callback (events
+// fire after their position is committed and the lock released) and
+// from a goroutine racing a multi-worker run.
 func TestLiveCheckpointResume(t *testing.T) {
-	cfg := Config{Seed: 42}
-	c := mustBenchmark(t, "s27")
-	direct := canonicalBytes(t, mustRunTest(t, c, cfg))
+	t.Run("event-cut", func(t *testing.T) {
+		cfg := Config{Seed: 42}
+		c := mustBenchmark(t, "s27")
+		direct := canonicalBytes(t, mustRunTest(t, c, cfg))
 
-	ses, err := New(c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var ckpt *Checkpoint
-	seen := 0
-	ses.OnEvent(func(ev Event) {
-		if ev.Kind == EventProgress {
-			if seen++; seen == 7 {
-				// The tracker folded this commit in before the callback
-				// fired, so the snapshot covers exactly 7 positions.
-				var err error
-				if ckpt, err = ses.Checkpoint(); err != nil {
-					t.Error(err)
+		ses, err := New(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		var ckpt *Checkpoint
+		seen := 0
+		ses.OnEvent(func(ev Event) {
+			if ev.Kind == EventProgress {
+				if seen++; seen == 7 {
+					// The engine committed this position before the event
+					// fired, so the snapshot covers exactly 7 positions.
+					var err error
+					if ckpt, err = ses.Checkpoint(); err != nil {
+						t.Error(err)
+					}
+					cancel()
 				}
-				cancel()
+			}
+		})
+		if _, err := ses.Run(ctx); err == nil {
+			t.Fatal("run completed despite cancellation")
+		}
+		if ckpt == nil {
+			t.Fatal("no mid-run checkpoint taken")
+		}
+		if ckpt.Cursor != 7 {
+			t.Fatalf("mid-run checkpoint cursor = %d, want 7", ckpt.Cursor)
+		}
+		assertResumesTo(t, c, ckpt, direct)
+	})
+
+	t.Run("concurrent-snapshots", func(t *testing.T) {
+		cfg := Config{Seed: 42, Workers: 4}
+		c := mustBenchmark(t, "s298")
+		direct := canonicalBytes(t, mustRunTest(t, c, cfg))
+
+		ses, err := New(c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		snaps := make(chan []*Checkpoint)
+		go func() {
+			// Keep the first snapshot at every new cursor.
+			var kept []*Checkpoint
+			last, n := -1, 0
+			defer func() {
+				t.Logf("%d snapshots, %d distinct cursors", n, len(kept))
+				snaps <- kept
+			}()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ck, err := ses.Checkpoint()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				n++
+				if msg := incoherence(ck.Result); msg != "" {
+					t.Errorf("snapshot at cursor %d is incoherent: %s", ck.Cursor, msg)
+					return
+				}
+				switch {
+				case ck.Cursor < last:
+					t.Errorf("snapshot cursor went back from %d to %d", last, ck.Cursor)
+					return
+				case ck.Cursor > last:
+					kept = append(kept, ck)
+					last = ck.Cursor
+				}
+			}
+		}()
+		_, err = ses.Run(context.Background())
+		close(stop)
+		kept := <-snaps
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mid []*Checkpoint
+		for _, ck := range kept {
+			if ck.Cursor > 0 && ck.Cursor < c.Faults() {
+				mid = append(mid, ck)
 			}
 		}
+		if len(mid) == 0 {
+			t.Fatal("no snapshot fell inside the run; the test has no signal")
+		}
+		// Resume the first, middle and last mid-run snapshots.
+		for _, k := range []int{0, len(mid) / 2, len(mid) - 1} {
+			assertResumesTo(t, c, mid[k], direct)
+		}
 	})
-	if _, err := ses.Run(ctx); err == nil {
-		t.Fatal("run completed despite cancellation")
+}
+
+// incoherence describes how a snapshot's counters disagree with its
+// per-fault statuses and sequences, or returns "" when they agree.
+func incoherence(r *Result) string {
+	want := Result{Faults: r.Faults}
+	want.tally()
+	got := [...]int{r.Tested, r.Explicit, r.Untestable, r.Aborted, r.Pending, r.Patterns}
+	exp := [...]int{want.Tested, want.Explicit, want.Untestable, want.Aborted, want.Pending, want.Patterns}
+	if got != exp {
+		return fmt.Sprintf("counters tested/explicit/untestable/aborted/pending/patterns %v, statuses imply %v", got, exp)
 	}
-	if ckpt == nil {
-		t.Fatal("no mid-run checkpoint taken")
+	for _, fr := range r.Faults {
+		if (fr.Status == StatusTested) != (fr.Seq != nil) {
+			return fmt.Sprintf("fault %s is %s with sequence %v", fr.Fault, fr.Status, fr.Seq != nil)
+		}
 	}
-	if ckpt.Cursor != 7 {
-		t.Fatalf("mid-run checkpoint cursor = %d, want 7", ckpt.Cursor)
+	return ""
+}
+
+// assertResumesTo resumes ckpt through its wire encoding and requires
+// the canonical bytes of the uninterrupted run. Before it runs, the
+// resumed session's own checkpoint — the engine's preload stitched with
+// the prefix — must encode to the bytes it was resumed from.
+func assertResumesTo(t *testing.T, c *Circuit, ckpt *Checkpoint, direct string) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeJSON(&buf, ckpt); err != nil {
+		t.Fatal(err)
 	}
-	ses2, err := Resume(c, ckpt)
+	var wire Checkpoint
+	if err := json.Unmarshal(buf.Bytes(), &wire); err != nil {
+		t.Fatal(err)
+	}
+	ses, err := Resume(c, &wire)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := ses2.Run(context.Background())
+	again, err := ses.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var againBuf bytes.Buffer
+	if err := EncodeJSON(&againBuf, again); err != nil {
+		t.Fatal(err)
+	}
+	if againBuf.String() != buf.String() {
+		t.Errorf("resumed session's pre-run checkpoint differs from the checkpoint at cursor %d", ckpt.Cursor)
+	}
+	resumed, err := ses.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := canonicalBytes(t, resumed); got != direct {
-		t.Error("resume from a live mid-run checkpoint diverged from the uninterrupted run")
+		t.Errorf("resume from the live checkpoint at cursor %d diverged from the uninterrupted run", ckpt.Cursor)
 	}
 }
 
