@@ -28,6 +28,7 @@ type worker struct {
 	sem *semilet.Engine
 	td  *tdsim.Sim
 	rng *rand.Rand
+	gen tdgen.Generator // reset per fault; keeps its buffers across faults
 
 	// Per-fault search state. fseed is the fault's master seed; every
 	// random stream of the search (fill lanes, decision probes) is derived
@@ -101,6 +102,7 @@ func (e *Engine) newWorker() *worker {
 		vals64:  make([]sim.Word, len(c.Nodes)),
 		state64: make([]sim.Word, len(c.DFFs)),
 	}
+	w.rng = rand.New(rand.NewSource(0)) //lint:allow determinism placeholder stream; process reseeds it per fault before every draw
 	for i := range w.lanes {
 		w.lanes[i] = rand.New(rand.NewSource(0)) //lint:allow determinism placeholder stream; seedLane reseeds per (attempt,lane) before every draw
 	}
@@ -219,7 +221,7 @@ func (w *worker) run(ctx context.Context, rs *runState) {
 func (w *worker) process(ctx context.Context, rs *runState, p, i int) (faultOutcome, bool) {
 	w.fseed = faultSeed(w.e.opts.Seed, i)
 	w.attempts = 0
-	w.rng = rand.New(rand.NewSource(w.fseed))
+	w.rng.Seed(w.fseed)
 	o := faultOutcome{idx: p}
 	var ff *tdsim.FastFrame
 	var interrupted bool
@@ -276,7 +278,8 @@ func (w *worker) process(ctx context.Context, rs *runState, p, i int) (faultOutc
 // done context interrupted the search (the other return values are then
 // meaningless and must not be committed).
 func (w *worker) generate(ctx context.Context, f faults.Delay) (*TestSequence, *tdsim.FastFrame, Status, int, bool) {
-	gen := tdgen.New(w.net, f, w.e.meas, tdgen.Options{
+	gen := &w.gen
+	gen.Reset(w.net, f, w.e.meas, tdgen.Options{
 		Algebra:       w.e.alg,
 		MaxBacktracks: w.e.opts.LocalBacktracks,
 		Probe:         true,

@@ -121,9 +121,13 @@ func (a *Algebra) Prune(t netlist.GateType, ins []Set, out Set) (newOut Set, cha
 		changed = newIn != ins[0]
 		ins[0] = newIn
 	} else {
-		// pre[i] = fold(ins[0..i]), suf[i] = fold(ins[i..n-1]).
-		pre := make([]Set, n)
-		suf := make([]Set, n)
+		// pre[i] = fold(ins[0..i]), suf[i] = fold(ins[i..n-1]), on the
+		// stack for the usual gate widths.
+		var preBuf, sufBuf [16]Set
+		pre, suf := preBuf[:], sufBuf[:]
+		if n > len(preBuf) {
+			pre, suf = make([]Set, n), make([]Set, n)
+		}
 		pre[0] = ins[0]
 		for i := 1; i < n; i++ {
 			pre[i] = a.applySet(op, pre[i-1], ins[i])

@@ -29,6 +29,14 @@ const (
 
 	// SteadySet holds the hazard-free constant values.
 	SteadySet = Set(1<<Zero | 1<<One)
+
+	// Frame-value masks: the values whose initial (first-frame) or final
+	// (test-frame) settled value is zero or one. s&InitOneSet != 0 asks
+	// whether some member of s starts at one, without iterating s.
+	InitZeroSet  = Set(1<<Zero | 1<<Rise | 1<<ZeroH | 1<<RiseC)
+	InitOneSet   = Set(1<<One | 1<<Fall | 1<<OneH | 1<<FallC)
+	FinalZeroSet = Set(1<<Zero | 1<<Fall | 1<<ZeroH | 1<<FallC)
+	FinalOneSet  = Set(1<<One | 1<<Rise | 1<<OneH | 1<<RiseC)
 )
 
 // S builds a set from values.

@@ -16,7 +16,9 @@ type Algebra struct {
 	xor [NumValues][NumValues]Value
 
 	// Set-level transfer tables: setOp[a][b] is the exact image
-	// {op(x,y) : x in a, y in b}, precomputed for implication speed.
+	// {op(x,y) : x in a, y in b}, and notSet[a] the image {not(x) : x in
+	// a}, precomputed for implication speed.
+	notSet [1 << NumValues]Set
 	setAnd [1 << NumValues][1 << NumValues]Set
 	setOr  [1 << NumValues][1 << NumValues]Set
 	setXor [1 << NumValues][1 << NumValues]Set
@@ -177,6 +179,13 @@ func deriveXor(x, y Value) Value {
 }
 
 func (a *Algebra) buildSetTables() {
+	for s := range a.notSet {
+		for v := Value(0); v < NumValues; v++ {
+			if Set(s).Has(v) {
+				a.notSet[s] = a.notSet[s].Add(a.not[v])
+			}
+		}
+	}
 	// Image of a singleton pair, then fold unions over set bits. Building
 	// row 1<<x against all b first keeps the inner loops tiny.
 	for x := Value(0); x < NumValues; x++ {
@@ -211,12 +220,4 @@ func (a *Algebra) buildSetTables() {
 
 // NotSet returns the exact image of Not over a set. Not is an involution,
 // so this is also the preimage.
-func (a *Algebra) NotSet(s Set) Set {
-	var out Set
-	for v := Value(0); v < NumValues; v++ {
-		if s.Has(v) {
-			out = out.Add(a.not[v])
-		}
-	}
-	return out
-}
+func (a *Algebra) NotSet(s Set) Set { return a.notSet[s] }

@@ -251,6 +251,37 @@ func TestSetImagesExact(t *testing.T) {
 	}
 }
 
+// TestNotSetTable pins the precomputed NotSet table against the per-value
+// loop it replaces, for all 256 sets under both algebras.
+func TestNotSetTable(t *testing.T) {
+	for _, a := range []*Algebra{Robust, NonRobust} {
+		for s := 0; s < 1<<NumValues; s++ {
+			var want Set
+			for v := Value(0); v < NumValues; v++ {
+				if Set(s).Has(v) {
+					want = want.Add(a.Not(v))
+				}
+			}
+			if got := a.NotSet(Set(s)); got != want {
+				t.Fatalf("%s: NotSet(%v) = %v, want %v", a.Name(), Set(s), got, want)
+			}
+		}
+	}
+}
+
+// TestFrameMasks pins the initial/final-value masks against Value's
+// Initial and Final.
+func TestFrameMasks(t *testing.T) {
+	for v := Value(0); v < NumValues; v++ {
+		if InitZeroSet.Has(v) != (v.Initial() == 0) || InitOneSet.Has(v) != (v.Initial() == 1) {
+			t.Errorf("%v: initial masks disagree with Initial()=%d", v, v.Initial())
+		}
+		if FinalZeroSet.Has(v) != (v.Final() == 0) || FinalOneSet.Has(v) != (v.Final() == 1) {
+			t.Errorf("%v: final masks disagree with Final()=%d", v, v.Final())
+		}
+	}
+}
+
 func TestEvalMatchesBruteForce(t *testing.T) {
 	types := []netlist.GateType{netlist.And, netlist.Nand, netlist.Or, netlist.Nor, netlist.Xor, netlist.Xnor}
 	for _, typ := range types {

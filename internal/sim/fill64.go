@@ -46,6 +46,17 @@ func (n *Net) NewRail64() *Rail64 {
 	}
 }
 
+// SharedRail returns the Net's own rail frame, built on first use.
+// Every user writes all inputs and re-walks before it reads, and no
+// walk spans another user's call, so the per-worker users (the TDgen
+// decision probe, tdsim's fill confirmation) share one rail.
+func (n *Net) SharedRail() *Rail64 {
+	if n.rail == nil {
+		n.rail = n.NewRail64()
+	}
+	return n.rail
+}
+
 // SetInput writes the plain two-frame input words of node id: bit k of
 // initial/final is lane k's settled frame value. Inputs are always
 // hazard-free and fault-free (LoadFrame8 semantics: FromEndpoints with

@@ -37,6 +37,9 @@ type Net struct {
 	ins3  []V3
 	ins5  []V5
 
+	// rail is the shared eight-valued rail frame (SharedRail).
+	rail *Rail64
+
 	// wl is the level-bucketed worklist of the event-driven kernels.
 	wl worklist
 

@@ -33,14 +33,15 @@ func (p *sm64) next() uint64 {
 }
 
 // probeScratch holds the decision-probe buffers, built on first use so
-// generators that never probe (short searches, unit tests) pay nothing.
+// generators that never probe (short searches, unit tests) pay nothing,
+// and kept across Reset on the same Net.
 type probeScratch struct {
 	lanes   [64]sm64
 	samples []logic.Value // per input × 64 lanes, input-major
-	rail    *sim.Rail64
-	goodW   []sim.Word // NextStateFill64 capture scratch
+	rail    *sim.Rail64   // the Net's shared rail
+	goodW   []sim.Word    // NextStateFill64 capture scratch
 	faultyW []sim.Word
-	vals8   []logic.Value // scalar oracle frame
+	vals8   []logic.Value // scalar oracle frame, built on its first use
 	next8   []logic.Value
 }
 
@@ -49,18 +50,16 @@ func (g *Generator) probeBuf() *probeScratch {
 		c := g.net.C
 		g.ps = &probeScratch{
 			samples: make([]logic.Value, 64*len(g.inputs)),
-			rail:    g.net.NewRail64(),
+			rail:    g.net.SharedRail(),
 			goodW:   make([]sim.Word, len(c.DFFs)),
 			faultyW: make([]sim.Word, len(c.DFFs)),
-			vals8:   make([]logic.Value, len(c.Nodes)),
-			next8:   make([]logic.Value, len(c.DFFs)),
 		}
 	}
 	return g.ps
 }
 
 // orderByProbe scores the candidate option order of a decision by
-// sampled simulation and returns the options most-promising-first. Each
+// sampled simulation and reorders them in place, most-promising-first. Each
 // option gets 64/len(options) lanes; every lane samples one concrete
 // eight-valued input frame (the decision input from the option's value
 // set, every other input from its current propagated set), evaluates it
@@ -74,9 +73,9 @@ func (g *Generator) probeBuf() *probeScratch {
 // sampled frames one Eval8 at a time. The sampling is shared, the
 // per-lane verdicts are bit-identical (TestProbeScalarMatchesBatched),
 // so the two modes order every decision the same way.
-func (g *Generator) orderByProbe(node netlist.NodeID, options []logic.Set) []logic.Set {
+func (g *Generator) orderByProbe(node netlist.NodeID, options []logic.Set) {
 	if !g.probe || g.nBack < probeAfter || len(options) < 2 {
-		return options
+		return
 	}
 	event := g.probeEvents
 	g.probeEvents++
@@ -146,15 +145,12 @@ func (g *Generator) orderByProbe(node netlist.NodeID, options []logic.Set) []log
 		mask := (sim.Word(1)<<uint(lanesPer) - 1) << uint(o*lanesPer)
 		scores[o] = bits.OnesCount64(obs & mask)
 	}
-	out := make([]logic.Set, nOpt)
-	copy(out, options)
 	for i := 1; i < nOpt; i++ {
 		for j := i; j > 0 && scores[j] > scores[j-1]; j-- {
 			scores[j], scores[j-1] = scores[j-1], scores[j]
-			out[j], out[j-1] = out[j-1], out[j]
+			options[j], options[j-1] = options[j-1], options[j]
 		}
 	}
-	return out
 }
 
 // probeInject is the injection applied to every probe frame. The sampled
@@ -198,6 +194,10 @@ func (g *Generator) probeBatched(ps *probeScratch) sim.Word {
 // probeScalar is the reference oracle: the identical sampled frames, one
 // scalar eight-valued walk per lane.
 func (g *Generator) probeScalar(ps *probeScratch, lanes int) sim.Word {
+	if ps.vals8 == nil {
+		ps.vals8 = make([]logic.Value, len(g.net.C.Nodes))
+		ps.next8 = make([]logic.Value, len(g.net.C.DFFs))
+	}
 	inj := g.probeInject()
 	var obs sim.Word
 	for k := 0; k < lanes; k++ {

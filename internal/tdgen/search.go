@@ -29,32 +29,30 @@ func (g *Generator) Next() (*Solution, Status) {
 			return nil, Untestable
 		}
 	}
-	g.started = true
+	if !g.started {
+		g.started = true
+		g.ok = g.base()
+	}
 	for {
-		ok := g.propagate()
-		if ok {
+		if g.ok {
 			if po, ppo := g.observation(); po >= 0 || ppo >= 0 {
 				g.lastGood = true
 				return g.extract(po, ppo), Found
 			}
-			node, options := g.decide()
-			if node == netlist.None {
-				// Everything relevant assigned without success.
-				ok = false
-			} else {
-				g.push(node, g.orderByProbe(node, options))
+			// With nothing relevant left to assign the state fails
+			// like a conflict.
+			if node, options := g.decide(); node != netlist.None {
+				g.push(node, options)
 				continue
 			}
 		}
-		if !ok {
-			if g.nBack >= g.maxBack {
-				g.dead = true
-				return nil, Aborted
-			}
-			if !g.backtrack() {
-				g.dead = true
-				return nil, Untestable
-			}
+		if g.nBack >= g.maxBack {
+			g.dead = true
+			return nil, Aborted
+		}
+		if !g.backtrack() {
+			g.dead = true
+			return nil, Untestable
 		}
 	}
 }
@@ -62,9 +60,14 @@ func (g *Generator) Next() (*Solution, Status) {
 // Backtracks returns the number of backtracks spent so far.
 func (g *Generator) Backtracks() int { return g.nBack }
 
+// push opens a decision on node: its options, reordered by the probe
+// against the current fixpoint, are tried in order, the first one now.
 func (g *Generator) push(node netlist.NodeID, options []logic.Set) {
-	g.stack = append(g.stack, decision{node: node, options: options})
-	g.assign[node] = options[0]
+	g.stack = append(g.stack, decision{node: node, mark: len(g.imp.trail)})
+	d := &g.stack[len(g.stack)-1]
+	d.n = copy(d.options[:], options)
+	g.orderByProbe(node, d.options[:d.n])
+	g.ok = g.apply(node, d.options[0])
 }
 
 // backtrack advances the deepest decision with untried values, undoing
@@ -72,10 +75,11 @@ func (g *Generator) push(node netlist.NodeID, options []logic.Set) {
 func (g *Generator) backtrack() bool {
 	for len(g.stack) > 0 {
 		top := &g.stack[len(g.stack)-1]
+		g.undo(top.mark)
 		top.next++
-		if top.next < len(top.options) {
+		if top.next < top.n {
 			g.nBack++
-			g.assign[top.node] = top.options[top.next]
+			g.ok = g.apply(top.node, top.options[top.next])
 			return true
 		}
 		g.assign[top.node] = logic.PIDomain
@@ -156,7 +160,7 @@ func (g *Generator) backtraceWant(node netlist.NodeID, want logic.Set) (netlist.
 		}
 		// Transform the want through the gate: prune the current input
 		// sets against it, then descend into the most promising fanin.
-		ins := make([]logic.Set, len(n.Fanin))
+		ins := g.ins[:len(n.Fanin)]
 		for pos := range n.Fanin {
 			ins[pos] = g.readIn(node, pos)
 		}
@@ -219,29 +223,32 @@ func (g *Generator) invSiteMap(want logic.Set) logic.Set {
 // compatible with the wanted set first, cheapest-compatible leading.
 func orderForWant(want logic.Set, isPPI bool) []logic.Set {
 	if isPPI {
-		var wantInit [2]bool
-		for _, v := range want.Values() {
-			wantInit[v.Initial()] = true
-		}
-		switch {
-		case wantInit[0] && !wantInit[1]:
-			return ppiInit0First
-		case wantInit[1] && !wantInit[0]:
+		if want&logic.InitOneSet != 0 && want&logic.InitZeroSet == 0 {
 			return ppiInit1First
-		default:
-			return ppiInit0First
 		}
+		return ppiInit0First
 	}
-	var first, rest []logic.Set
-	for _, v := range []logic.Value{logic.One, logic.Zero, logic.Rise, logic.Fall} {
-		if want.Has(v) {
-			first = append(first, logic.S(v))
-		} else {
-			rest = append(rest, logic.S(v))
-		}
-	}
-	return append(first, rest...)
+	return piWantOrders[want&logic.PIDomain]
 }
+
+// piWantOrders holds the PI option order for every wanted subset of the
+// PI domain: the wanted values first, then the rest, each in the order
+// 1, 0, R, F.
+var piWantOrders = func() (t [logic.PIDomain + 1][]logic.Set) {
+	for w := range t {
+		want := logic.Set(w)
+		var first, rest []logic.Set
+		for _, v := range []logic.Value{logic.One, logic.Zero, logic.Rise, logic.Fall} {
+			if want.Has(v) {
+				first = append(first, logic.S(v))
+			} else {
+				rest = append(rest, logic.S(v))
+			}
+		}
+		t[w] = append(first, rest...)
+	}
+	return t
+}()
 
 // objectiveNode returns the node the next decision should influence and
 // the value set wanted there.
@@ -290,7 +297,7 @@ func (g *Generator) objectiveNode() (netlist.NodeID, logic.Set) {
 	}
 	// No pinned frontier: aim at the carrying-capable observable with the
 	// cheapest observability.
-	for _, po := range g.obsPO {
+	for _, po := range g.net.C.POs {
 		if g.sets[po]&logic.CarrySet != 0 {
 			if _, ok := g.sets[po].Singleton(); !ok {
 				if cost := g.meas.CO[po]; cost < bestCost {
@@ -319,43 +326,48 @@ func (g *Generator) objectiveNode() (netlist.NodeID, logic.Set) {
 // pickConeInput returns the unassigned input in the transitive fanin cone
 // of node (crossing the state register once) with the lowest SCOAP cost.
 func (g *Generator) pickConeInput(node netlist.NodeID) netlist.NodeID {
-	c := g.net.C
-	seen := make(map[netlist.NodeID]bool)
-	best, bestCost := netlist.None, testability.Inf+1
-	var walk func(id netlist.NodeID, depth int)
-	walk = func(id netlist.NodeID, depth int) {
-		if seen[id] {
-			return
+	g.epoch++
+	if g.epoch == 0 {
+		clear(g.visit)
+		g.epoch = 1
+	}
+	best, bestCost := netlist.None, int32(testability.Inf+1)
+	g.coneWalk(node, 0, &best, &bestCost)
+	return best
+}
+
+// coneWalk is pickConeInput's depth-first walk; g.visit[id] == g.epoch
+// marks the nodes it has seen.
+func (g *Generator) coneWalk(id netlist.NodeID, depth int, best *netlist.NodeID, bestCost *int32) {
+	if g.visit[id] == g.epoch {
+		return
+	}
+	g.visit[id] = g.epoch
+	n := &g.net.C.Nodes[id]
+	switch n.Type {
+	case netlist.Input:
+		if g.assign[id] == logic.PIDomain {
+			if cost := g.meas.CC0[id] + g.meas.CC1[id]; cost < *bestCost {
+				*best, *bestCost = id, cost
+			}
 		}
-		seen[id] = true
-		n := &c.Nodes[id]
-		switch n.Type {
-		case netlist.Input:
-			if g.assign[id] == logic.PIDomain {
-				if cost := g.meas.CC0[id] + g.meas.CC1[id]; cost < bestCost {
-					best, bestCost = id, cost
-				}
+	case netlist.DFF:
+		if g.assign[id] == logic.PIDomain {
+			// PPIs are costlier decisions: they must be synchronized.
+			if cost := g.meas.CC0[id] + g.meas.CC1[id] + 2*testability.Inf/4; cost < *bestCost {
+				*best, *bestCost = id, cost
 			}
-		case netlist.DFF:
-			if g.assign[id] == logic.PIDomain {
-				// PPIs are costlier decisions: they must be synchronized.
-				if cost := g.meas.CC0[id] + g.meas.CC1[id] + 2*testability.Inf/4; cost < bestCost {
-					best, bestCost = id, cost
-				}
-			}
-			// The PPI's final value is coupled to the PPO: influencing the
-			// PPO influences the PPI. Cross the register once.
-			if depth == 0 {
-				walk(n.Fanin[0], depth+1)
-			}
-		default:
-			for _, in := range n.Fanin {
-				walk(in, depth)
-			}
+		}
+		// The PPI's final value is coupled to the PPO: influencing the
+		// PPO influences the PPI. Cross the register once.
+		if depth == 0 {
+			g.coneWalk(n.Fanin[0], depth+1, best, bestCost)
+		}
+	default:
+		for _, in := range n.Fanin {
+			g.coneWalk(in, depth, best, bestCost)
 		}
 	}
-	walk(node, 0)
-	return best
 }
 
 // extract builds the Solution from the current sets.
@@ -384,27 +396,19 @@ func (g *Generator) extract(po, ppo int) *Solution {
 // framePair maps a value set to per-frame binary values; X when the frame
 // value is not uniform across the set.
 func framePair(s logic.Set) (sim.V3, sim.V3) {
-	v1, v2 := sim.X, sim.X
-	var init, fin [2]bool
-	for _, v := range s.Values() {
-		init[v.Initial()] = true
-		fin[v.Final()] = true
+	return frameValue(s, logic.InitZeroSet, logic.InitOneSet), frameValue(s, logic.FinalZeroSet, logic.FinalOneSet)
+}
+
+// frameValue is Lo or Hi when the set's members agree on one frame value
+// (selected by the masks of that frame), X otherwise.
+func frameValue(s, zero, one logic.Set) sim.V3 {
+	switch z, o := s&zero != 0, s&one != 0; {
+	case o && !z:
+		return sim.Hi
+	case z && !o:
+		return sim.Lo
 	}
-	if init[0] != init[1] {
-		if init[1] {
-			v1 = sim.Hi
-		} else {
-			v1 = sim.Lo
-		}
-	}
-	if fin[0] != fin[1] {
-		if fin[1] {
-			v2 = sim.Hi
-		} else {
-			v2 = sim.Lo
-		}
-	}
-	return v1, v2
+	return sim.X
 }
 
 // ppoHandoff maps a PPO value set to the state knowledge passed to the
@@ -434,14 +438,10 @@ func (g *Generator) ppoHandoff(s logic.Set) sim.V5 {
 		return sim.X5
 	}
 	if !g.alg.IsRobust() && s&logic.CarrySet == 0 {
-		var fin [2]bool
-		for _, v := range s.Values() {
-			fin[v.Final()] = true
-		}
-		if fin[1] != fin[0] {
-			if fin[1] {
-				return sim.O5
-			}
+		switch frameValue(s, logic.FinalZeroSet, logic.FinalOneSet) {
+		case sim.Hi:
+			return sim.O5
+		case sim.Lo:
 			return sim.Z5
 		}
 	}

@@ -98,23 +98,34 @@ type Solution struct {
 // Generator enumerates robust local tests for one delay fault.
 type Generator struct {
 	net   *sim.Net
+	t     *sim.Topology
 	alg   *logic.Algebra
 	fault faults.Delay
 	meas  *testability.Measures
 
 	inputs   []netlist.NodeID // PIs then FFs: the decision variables
 	assign   []logic.Set      // per node: current input domain (inputs only)
-	sets     []logic.Set      // per node: value sets from the last propagate
+	sets     []logic.Set      // per node: value sets of the current fixpoint
 	inCone   []bool           // node may carry the fault effect
 	siteDrv  bool             // fault site is a stem on a PI/PPI (no driving gate)
-	obsPO    []netlist.NodeID // PO nodes
+	siteGate netlist.NodeID   // gate whose image is site-mapped (stem fault), or None
+	siteEdge int32            // flat fanin edge of a branch fault, or -1
 	ppoOfFF  []netlist.NodeID // D-driver node per FF
 	maxBack  int
 	nBack    int
 	stack    []decision
-	started  bool
+	started  bool // the base fixpoint has been computed
+	ok       bool // the current fixpoint is consistent (see settle)
 	lastGood bool // last Next returned Found; resume must first backtrack
 	dead     bool // search exhausted or aborted
+
+	imp implier
+
+	// Decision scratch: gate input sets for backtraceWant, and the
+	// epoch-stamped visited marks of pickConeInput.
+	ins   []logic.Set
+	visit []uint32
+	epoch uint32
 
 	probe       bool
 	scalarProbe bool
@@ -128,18 +139,20 @@ type Generator struct {
 // are freely applied. For a pseudo primary input only the initial-frame
 // bit is controllable (it will be synchronized); the options are the two
 // init-halves of the domain, {0,R} and {1,F}, and the final value is tied
-// to the PPO by the state-register coupling.
+// to the PPO by the state-register coupling. mark is the trail length
+// before the decision was applied: undoing to it restores the fixpoint of
+// the shallower decisions.
 type decision struct {
 	node    netlist.NodeID
-	options []logic.Set
+	options [4]logic.Set
+	n       int
 	next    int
+	mark    int
 }
 
 // Decision option orders. PI orders are value preferences; PPI orders pick
 // the initial-frame bit.
 var (
-	piRiseFirst = []logic.Set{logic.S(logic.Rise), logic.S(logic.Fall), logic.S(logic.One), logic.S(logic.Zero)}
-	piFallFirst = []logic.Set{logic.S(logic.Fall), logic.S(logic.Rise), logic.S(logic.Zero), logic.S(logic.One)}
 	piOneFirst  = []logic.Set{logic.S(logic.One), logic.S(logic.Zero), logic.S(logic.Rise), logic.S(logic.Fall)}
 	piZeroFirst = []logic.Set{logic.S(logic.Zero), logic.S(logic.One), logic.S(logic.Fall), logic.S(logic.Rise)}
 
@@ -150,6 +163,16 @@ var (
 // New prepares a generator for the fault. The testability measures may be
 // shared across faults of the same circuit; nil computes them on demand.
 func New(net *sim.Net, f faults.Delay, meas *testability.Measures, opts Options) *Generator {
+	g := new(Generator)
+	g.Reset(net, f, meas, opts)
+	return g
+}
+
+// Reset re-targets the generator at a new fault, as New does, but keeps
+// its per-circuit buffers when net is the one it was built on, so a
+// worker generating fault after fault allocates them once. Solutions
+// returned before the reset stay valid; the search state does not.
+func (g *Generator) Reset(net *sim.Net, f faults.Delay, meas *testability.Measures, opts Options) {
 	c := net.C
 	alg := opts.Algebra
 	if alg == nil {
@@ -162,39 +185,48 @@ func New(net *sim.Net, f faults.Delay, meas *testability.Measures, opts Options)
 	if maxBack == 0 {
 		maxBack = 100
 	}
-	g := &Generator{
-		net:         net,
-		alg:         alg,
-		fault:       f,
-		meas:        meas,
-		assign:      make([]logic.Set, len(c.Nodes)),
-		sets:        make([]logic.Set, len(c.Nodes)),
-		maxBack:     maxBack,
-		probe:       opts.Probe,
-		scalarProbe: opts.ScalarProbe,
-		probeSeed:   opts.ProbeSeed,
+	if g.net != net {
+		n := len(c.Nodes)
+		*g = Generator{
+			net:     net,
+			t:       net.T,
+			assign:  make([]logic.Set, n),
+			sets:    make([]logic.Set, n),
+			inCone:  make([]bool, n),
+			ppoOfFF: c.PPOs(),
+			ins:     make([]logic.Set, net.T.MaxFanin),
+			visit:   make([]uint32, n),
+			imp:     newImplier(net.T),
+		}
+		g.inputs = append(append(g.inputs, c.PIs...), c.DFFs...)
 	}
-	for _, pi := range c.PIs {
-		g.inputs = append(g.inputs, pi)
-		g.assign[pi] = logic.PIDomain
+	g.alg, g.fault, g.meas, g.maxBack = alg, f, meas, maxBack
+	g.probe, g.scalarProbe, g.probeSeed = opts.Probe, opts.ScalarProbe, opts.ProbeSeed
+	g.nBack, g.probeEvents = 0, 0
+	g.stack = g.stack[:0]
+	g.started, g.ok, g.lastGood, g.dead = false, false, false, false
+	for _, in := range g.inputs {
+		g.assign[in] = logic.PIDomain
 	}
-	for _, ff := range c.DFFs {
-		g.inputs = append(g.inputs, ff)
-		g.assign[ff] = logic.PIDomain
+	l := f.Line
+	st := c.Nodes[l.Node].Type
+	g.siteDrv = l.IsStem() && (st == netlist.Input || st == netlist.DFF)
+	g.siteGate, g.siteEdge = netlist.None, -1
+	switch {
+	case l.IsStem() && !g.siteDrv:
+		g.siteGate = l.Node
+	case !l.IsStem():
+		_, e := g.t.BranchEdge(l.Node, l.Branch)
+		g.siteEdge = int32(e)
 	}
-	g.obsPO = append(g.obsPO, c.POs...)
-	g.ppoOfFF = c.PPOs()
-	st := c.Nodes[f.Line.Node].Type
-	g.siteDrv = f.Line.IsStem() && (st == netlist.Input || st == netlist.DFF)
 	g.computeCone()
-	return g
 }
 
 // computeCone marks every node whose value may carry the fault effect:
 // the forward closure of the site connection.
 func (g *Generator) computeCone() {
 	c := g.net.C
-	g.inCone = make([]bool, len(c.Nodes))
+	clear(g.inCone)
 	var mark func(id netlist.NodeID)
 	mark = func(id netlist.NodeID) {
 		if g.inCone[id] {
@@ -238,112 +270,19 @@ func (g *Generator) siteMap(s logic.Set) logic.Set {
 // readIn returns the value set presented to input position pos of node id,
 // applying the site conversion on the faulty branch.
 func (g *Generator) readIn(id netlist.NodeID, pos int) logic.Set {
-	in := g.net.C.Nodes[id].Fanin[pos]
-	s := g.sets[in]
-	l := g.fault.Line
-	if !l.IsStem() && in == l.Node && g.net.OnLine(l, id, pos) {
+	e := g.t.FaninOff[id] + int32(pos)
+	s := g.sets[g.t.Fanin[e]]
+	if e == g.siteEdge {
 		s = g.siteMap(s)
 	}
 	return s
-}
-
-// propagate recomputes all value sets from the current input assignment to
-// a fixpoint and reports consistency: false when some set is empty or the
-// fault effect can no longer reach any observable output.
-func (g *Generator) propagate() bool {
-	c := g.net.C
-	for i := range c.Nodes {
-		switch c.Nodes[i].Type {
-		case netlist.Input, netlist.DFF:
-			s := g.assign[i]
-			if g.siteDrv && g.fault.Line.Node == netlist.NodeID(i) {
-				s = g.siteMap(s)
-			}
-			g.sets[i] = s
-		default:
-			if g.inCone[i] {
-				g.sets[i] = logic.FullSet
-			} else {
-				g.sets[i] = logic.PlainSet
-			}
-		}
-	}
-	var ins [16]logic.Set
-	for {
-		changed := false
-		for _, id := range c.GateOrder() {
-			node := &c.Nodes[id]
-			buf := ins[:0]
-			if len(node.Fanin) > len(ins) {
-				buf = make([]logic.Set, 0, len(node.Fanin))
-			}
-			for pos := range node.Fanin {
-				buf = append(buf, g.readIn(id, pos))
-			}
-			img := g.alg.EvalSet(node.Type, buf)
-			if g.fault.Line.IsStem() && g.fault.Line.Node == id {
-				img = g.siteMap(img)
-			}
-			img &= g.sets[id]
-			if img != g.sets[id] {
-				g.sets[id] = img
-				changed = true
-			}
-			if img == logic.EmptySet {
-				return false
-			}
-		}
-		// State register coupling: the PPI's final value is the PPO's
-		// initial-frame value. The narrowing is strictly one-directional
-		// (PPO image -> PPI): the latched value is whatever the circuit
-		// produces in the initial frame, so the PPO set must remain a pure
-		// forward image. Pinning a PPI's final value therefore requires
-		// the search to justify the PPO's initial-frame value through
-		// ordinary input decisions; anything else would assume state the
-		// synchronizable machine cannot deliver.
-		for i, ff := range c.DFFs {
-			ppi, ppo := ff, g.ppoOfFF[i]
-			var inits [2]bool
-			for _, v := range g.sets[ppo].Values() {
-				inits[v.Initial()] = true
-			}
-			newPPI := logic.EmptySet
-			for _, v := range g.sets[ppi].Values() {
-				if inits[v.Final()] {
-					newPPI = newPPI.Add(v)
-				}
-			}
-			if newPPI != g.sets[ppi] {
-				changed = true
-				g.sets[ppi] = newPPI
-				if newPPI == logic.EmptySet {
-					return false
-				}
-			}
-		}
-		if !changed {
-			break
-		}
-	}
-	// X-path check: the effect must still be able to reach a PO or PPO.
-	for _, po := range g.obsPO {
-		if g.sets[po]&logic.CarrySet != 0 {
-			return true
-		}
-	}
-	for _, ppo := range g.ppoOfFF {
-		if g.sets[ppo]&logic.CarrySet != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // observation returns the achieved observation point, preferring POs:
 // (poIndex, -1), (-1, ffIndex), or (-1, -1) when no output is guaranteed
 // to carry the effect yet.
 func (g *Generator) observation() (int, int) {
-	for i, po := range g.obsPO {
+	for i, po := range g.net.C.POs {
 		if v, ok := g.sets[po].Singleton(); ok && v.Carrying() {
 			return i, -1
 		}

@@ -32,7 +32,7 @@ func (s *Sim) fills() *fillScratch {
 		n := len(s.net.C.Nodes)
 		d := len(s.net.C.DFFs)
 		s.fill = &fillScratch{
-			rail:  s.net.NewRail64(),
+			rail:  s.net.SharedRail(),
 			goodW: make([]sim.Word, d), faultyW: make([]sim.Word, d),
 			valsG: make([]sim.Word, n), valsF: make([]sim.Word, n),
 			stateG: make([]sim.Word, d), stateF: make([]sim.Word, d),
