@@ -30,7 +30,6 @@ type config struct {
 	workers   int
 	compact   bool
 	seed      int64
-	coneSets  string
 	jsonOut   string
 	order     string
 }
@@ -51,7 +50,6 @@ func parseArgs(argv []string, stderr io.Writer) (*config, error) {
 	fs.IntVar(&cfg.workers, "workers", 0, "ATPG worker count (0 = all CPUs, <0 = single worker); results are identical at any count")
 	fs.Int64Var(&cfg.seed, "seed", 0, "run seed: drives the random X-fill, the ADI ordering campaign and the splice fills (one seed, one table, at any worker count)")
 	fs.BoolVar(&cfg.compact, "compact", false, "compact every test set and report vectors before/after")
-	fs.StringVar(&cfg.coneSets, "conesets", "auto", "cone-set representation: auto, dense or compressed (memory/speed trade; results are identical)")
 	fs.StringVar(&cfg.jsonOut, "json", "", "write every run's canonical atpg.Result as one JSON array to this file (- for stdout)")
 	fs.StringVar(&cfg.order, "order", "natural", "fault-targeting order: natural, topo, scoap or adi")
 	if err := fs.Parse(argv); err != nil {
@@ -83,7 +81,6 @@ func (cfg *config) engineConfig() atpg.Config {
 		Seed:            cfg.seed,
 		Workers:         cfg.workers,
 		Compact:         cfg.compact,
-		ConeSets:        cfg.coneSets,
 	}
 }
 

@@ -37,7 +37,6 @@ type config struct {
 	workers   int
 	compact   bool
 	seed      int64
-	coneSets  string
 	maxTarg   int
 	timeout   time.Duration
 	cpuProf   string
@@ -70,7 +69,6 @@ func parseArgs(argv []string, stderr io.Writer) (*config, error) {
 	fs.BoolVar(&cfg.compact, "compact", false, "compact the test set (reverse-order drop + overlap merge) after generation")
 	fs.StringVar(&cfg.cpuProf, "cpuprofile", "", "write a CPU profile of the run to this file")
 	fs.StringVar(&cfg.memProf, "memprofile", "", "write a heap profile (taken after the run) to this file")
-	fs.StringVar(&cfg.coneSets, "conesets", "auto", "cone-set representation: auto, dense or compressed (memory/speed trade; results are identical)")
 	fs.IntVar(&cfg.maxTarg, "maxtargets", 0, "budget the run to the first N targeting positions (0 = the whole universe)")
 	fs.DurationVar(&cfg.timeout, "timeout", 0, "wall-clock deadline for the run (e.g. 30s, 5m; 0 = none); an expired run still writes the committed-prefix partial result and exits 3")
 	fs.StringVar(&cfg.order, "order", "natural", "fault-targeting order: natural, topo, scoap or adi")
@@ -115,7 +113,6 @@ func (cfg *config) engineConfig() atpg.Config {
 		Seed:            cfg.seed,
 		Workers:         cfg.workers,
 		Compact:         cfg.compact,
-		ConeSets:        cfg.coneSets,
 		MaxTargets:      cfg.maxTarg,
 	}
 }

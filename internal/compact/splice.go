@@ -5,7 +5,6 @@ import (
 
 	"fogbuster/internal/core"
 	"fogbuster/internal/faults"
-	"fogbuster/internal/fausim"
 	"fogbuster/internal/logic"
 	"fogbuster/internal/netlist"
 	"fogbuster/internal/sim"
@@ -109,67 +108,22 @@ func (ap *applier) confirmPair(a, b *core.TestSequence, merged [][]sim.V3, k int
 	propA := make([][]sim.V3, 0, len(a.Prop))
 	propA = append(propA, a.Prop[:len(a.Prop)-k]...)
 	propA = append(propA, merged...)
-	ffA, after := ap.frame(a, a.Sync, nil, propA, rng)
+	ffA := ap.td.DeriveFrame(nil, a.Assumed, a.Sync, a.V1, a.V2, propA, rng)
 	if !ap.confirmAll(ffA, coverA) {
 		return false
 	}
-	ffB, _ := ap.frame(b, b.Sync[k:], after, b.Prop, rng)
+	after := ap.after(ffA)
+	ffB := ap.td.DeriveFrame(after, nil, b.Sync[k:], b.V1, b.V2, b.Prop, rng)
 	return ap.confirmAll(ffB, coverB)
 }
 
-// frame builds the concrete two-frame situation of one sequence the way
-// the engine's fault simulation phase does (core.fastFrame), but from an
-// explicit entry state when the sequence runs mid-program, and returns
-// the good-machine state after the sequence's last frame as well.
-func (ap *applier) frame(seq *core.TestSequence, syncFrames [][]sim.V3, entry []sim.V3, prop [][]sim.V3, rng *rand.Rand) (*tdsim.FastFrame, []sim.V3) {
-	nFF := len(ap.net.C.DFFs)
-	state := make([]sim.V3, nFF)
-	if entry != nil {
-		copy(state, entry)
-	} else {
-		for i := range state {
-			if seq.Assumed != nil && seq.Assumed[i].Known() {
-				state[i] = seq.Assumed[i]
-			} else {
-				state[i] = sim.V3(rng.Intn(2))
-			}
-		}
-	}
-	syncV := fausim.FillSequence(syncFrames, rng)
-	if len(syncV) > 0 {
-		steps := ap.net.SeqSim3(state, syncV)
-		state = steps[len(steps)-1].State
-	}
-	fillState(state, rng)
-	v1 := sim.XFill(seq.V1, rng)
-	v2 := sim.XFill(seq.V2, rng)
-	f1 := ap.net.LoadFrame(v1, state)
-	ap.net.Eval3(f1, nil)
-	s1 := ap.net.NextState3(f1, nil)
-	fillState(s1, rng)
-	ff := &tdsim.FastFrame{V1: v1, V2: v2, S0: state, S1: s1, Prop: fausim.FillSequence(prop, rng)}
-
-	// Advance the good machine from the captured (filled) state s1
-	// through the fast frame and the propagation frames for the state
-	// handed to the next sequence.
-	after := s1
-	for _, vec := range append([][]sim.V3{v2}, ff.Prop...) {
-		fv := ap.net.LoadFrame(vec, after)
-		ap.net.Eval3(fv, nil)
-		after = ap.net.NextState3(fv, nil)
-	}
-	fillState(after, rng)
-	return ff, after
-}
-
-// fillState replaces X state bits with deterministic random values, the
-// same treatment core.fastFrame applies before the fast frame.
-func fillState(state []sim.V3, rng *rand.Rand) {
-	for i, v := range state {
-		if v == sim.X {
-			state[i] = sim.V3(rng.Intn(2))
-		}
-	}
+// after returns the good-machine state a sequence leaves behind: its
+// captured test state clocked through the fast frame's second vector and
+// the propagation frames. Every input of that replay is binary, so the
+// state is fully specified and B's derivation draws nothing for it.
+func (ap *applier) after(ff *tdsim.FastFrame) []sim.V3 {
+	steps := ap.net.SeqSim3(ff.S1, append([][]sim.V3{ff.V2}, ff.Prop...))
+	return steps[len(steps)-1].State
 }
 
 // confirmAll runs the exact eight-valued confirmation for every fault

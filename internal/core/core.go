@@ -136,12 +136,6 @@ type Options struct {
 	// TestEventDrivenInvariance and TestBatchedCreditInvariance pin it.
 	// The switch exists only for differential testing and benchmarking.
 	Reference bool
-	// ConeSets selects the representation of the shared topology's lazy
-	// per-stem cone membership sets: "" or "auto" (pick per stem), "dense"
-	// (bitsets, the pre-compression oracle), "compressed" (interval
-	// lists). Purely a memory/speed trade — every policy answers cone
-	// queries identically — so results never depend on it.
-	ConeSets string
 	// MaxTargets, when positive, caps the run at the first MaxTargets
 	// positions of the targeting permutation; every later fault is left
 	// Pending (it may still be credited TestedBySim by an in-budget
@@ -191,13 +185,10 @@ type Options struct {
 	OnEvent func(Event)
 	// Topology, when non-nil, is a prebuilt simulation topology for the
 	// circuit, letting many engines over the same circuit share one CSR
-	// view and its lazily built cone sets instead of re-levelizing per
-	// run (the Topology is immutable once built and already shared by
-	// all workers of a run). It must have been built from the same
-	// *netlist.Circuit handed to New; New rejects a mismatch. The cone
-	// policy of a shared topology is fixed by its first user —
-	// SetConePolicy is a no-op once cone sets exist — which never
-	// changes results (the policy is purely a memory/speed trade).
+	// view instead of re-levelizing per run (the Topology is immutable
+	// once built and already shared by all workers of a run). It must
+	// have been built from the same *netlist.Circuit handed to New; New
+	// rejects a mismatch.
 	Topology *sim.Topology
 }
 
@@ -370,10 +361,6 @@ func New(c *netlist.Circuit, opts Options) (*Engine, error) {
 	if n := len(opts.Preload); n != 0 && n != 2*len(c.Lines()) {
 		return nil, fmt.Errorf("core: Preload holds %d statuses, fault universe has %d", n, 2*len(c.Lines()))
 	}
-	conePolicy, err := sim.ParseConePolicy(opts.ConeSets)
-	if err != nil {
-		return nil, fmt.Errorf("core: %v", err)
-	}
 	if opts.Algebra == nil {
 		opts.Algebra = logic.Robust
 	}
@@ -396,7 +383,6 @@ func New(c *netlist.Circuit, opts Options) (*Engine, error) {
 		meas: testability.Compute(c),
 		topo: topo,
 	}
-	e.topo.SetConePolicy(conePolicy)
 	if opts.VariationBudget > 0 {
 		e.tim = timing.Analyze(c, nil)
 	}

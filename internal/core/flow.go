@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"fogbuster/internal/faults"
-	"fogbuster/internal/fausim"
 	"fogbuster/internal/logic"
 	"fogbuster/internal/netlist"
 	"fogbuster/internal/semilet"
@@ -40,20 +39,12 @@ type worker struct {
 	attempts int
 	lanes    [64]*rand.Rand
 
-	// Hoisted fill scratch: the fast-frame derivation runs once per
-	// candidate (and 64 more times, lane-parallel, when the first fill
-	// misses), so its buffers live on the worker instead of the heap. At
-	// most one FastFrame per worker is alive at a time; its slices alias
-	// these buffers.
+	// Scalar confirmation scratch (confirm). The fast frames themselves
+	// live on the tdsim.Sim (DeriveFrame), so at most one FastFrame per
+	// worker is alive at a time.
 	ppos   []netlist.NodeID
-	ffS0   []sim.V3
-	ffS1   []sim.V3
-	ffV1   []sim.V3
-	ffV2   []sim.V3
-	frame3 []sim.V3
 	vals8  []logic.Value
 	goodS2 []sim.V3
-	ff     tdsim.FastFrame
 
 	// Lane-parallel fill scratch (confirmLanes).
 	fb       tdsim.FillBatch
@@ -85,11 +76,6 @@ func (e *Engine) newWorker() *worker {
 		td:  td,
 
 		ppos:   c.PPOs(),
-		ffS0:   make([]sim.V3, len(c.DFFs)),
-		ffS1:   make([]sim.V3, len(c.DFFs)),
-		ffV1:   make([]sim.V3, len(c.PIs)),
-		ffV2:   make([]sim.V3, len(c.PIs)),
-		frame3: make([]sim.V3, len(c.Nodes)),
 		vals8:  make([]logic.Value, len(c.Nodes)),
 		goodS2: make([]sim.V3, len(c.DFFs)),
 
@@ -255,8 +241,10 @@ func (w *worker) process(ctx context.Context, rs *runState, p, i int) (faultOutc
 			skip = nil
 		}
 		if ff == nil {
-			// Validation disabled: the winning frame was never derived.
-			ff = w.fastFrame(o.seq)
+			// Validation disabled: the winning frame was never derived,
+			// and no lane structure exists, so the fill draws straight
+			// from the fault's master stream.
+			ff = w.fastFrame(o.seq, w.rng)
 		}
 		if w.e.opts.Reference {
 			o.detected = w.td.DetectScalar(ff, skip)
@@ -387,67 +375,12 @@ func (w *worker) handoff(sol *tdgen.Solution) []sim.V5 {
 	return lifted
 }
 
-// fastFrame fills the sequence's don't-cares from the worker's per-fault
-// stream; it backs the validation-disabled path, where no lane structure
-// exists and the fill draws straight from the fault's master RNG.
-func (w *worker) fastFrame(seq *TestSequence) *tdsim.FastFrame {
-	return w.fastFrameWith(seq, w.rng)
-}
-
-// fillInto is XFill into a caller-owned buffer.
-func fillInto(dst, vec []sim.V3, rng *rand.Rand) {
-	for i, v := range vec {
-		if v == sim.X {
-			dst[i] = sim.V3(rng.Intn(2))
-		} else {
-			dst[i] = v
-		}
-	}
-}
-
-// fastFrameWith fills the sequence's don't-cares from rng and derives the
-// concrete two-frame situation of the fast clock cycle, simulating the
-// good machine from a random power-up state through the initialization
-// and the initial time frame (the paper's fault simulation phase 1). The
-// returned frame aliases worker-owned scratch: it is valid until the next
-// fastFrameWith call on this worker.
-func (w *worker) fastFrameWith(seq *TestSequence, rng *rand.Rand) *tdsim.FastFrame {
-	state := w.ffS0
-	for i := range state {
-		if seq.Assumed != nil && seq.Assumed[i].Known() {
-			state[i] = seq.Assumed[i]
-		} else {
-			state[i] = sim.V3(rng.Intn(2))
-		}
-	}
-	syncV := fausim.FillSequence(seq.Sync, rng)
-	if len(syncV) > 0 {
-		steps := w.net.SeqSim3(state, syncV)
-		copy(state, steps[len(steps)-1].State)
-	}
-	for i := range state {
-		if state[i] == sim.X {
-			state[i] = sim.V3(rng.Intn(2))
-		}
-	}
-	fillInto(w.ffV1, seq.V1, rng)
-	fillInto(w.ffV2, seq.V2, rng)
-	w.net.LoadFrameInto(w.frame3, w.ffV1, state)
-	w.net.Eval3(w.frame3, nil)
-	t := w.net.T
-	for i, ff := range w.e.c.DFFs {
-		v := w.frame3[t.Fanin[t.FaninOff[ff]]]
-		if v == sim.X {
-			v = sim.V3(rng.Intn(2))
-		}
-		w.ffS1[i] = v
-	}
-	w.ff = tdsim.FastFrame{
-		V1: w.ffV1, V2: w.ffV2,
-		S0: state, S1: w.ffS1,
-		Prop: fausim.FillSequence(seq.Prop, rng),
-	}
-	return &w.ff
+// fastFrame derives the sequence's concrete fast frame with its
+// don't-cares filled from rng (tdsim.Sim.DeriveFrame, from power-up).
+// The frame aliases the worker's tdsim scratch: it is valid until the
+// next fastFrame call on this worker.
+func (w *worker) fastFrame(seq *TestSequence, rng *rand.Rand) *tdsim.FastFrame {
+	return w.td.DeriveFrame(nil, seq.Assumed, seq.Sync, seq.V1, seq.V2, seq.Prop, rng)
 }
 
 // confirm checks one concrete fast frame: fault-free two-frame values,
@@ -466,13 +399,13 @@ func (w *worker) confirm(ff *tdsim.FastFrame, f faults.Delay) bool {
 // k) — and confirms all of them in one lane-parallel pass
 // (tdsim.ConfirmFills), returning the word of detecting lanes.
 //
-// The derivation mirrors fastFrameWith site by site on packed words: the
-// power-up state, the synchronization replay (all inputs are binary per
-// lane, so the three-valued good simulation degenerates to Eval64, which
-// is exact), the two fast-frame vectors, the latched test state and the
-// propagation vectors. At every X site one bit is drawn per lane, in the
+// The derivation mirrors tdsim.DeriveFrame site by site on packed
+// words: the power-up state, the synchronization replay (all inputs are
+// binary per lane, so the three-valued good simulation degenerates to
+// Eval64, which is exact), the two fast-frame vectors, the latched test
+// state and the propagation vectors. At every X site one bit is drawn per lane, in the
 // scalar visit order, so each lane's draw subsequence is identical to a
-// scalar fastFrameWith on that lane's RNG — site-major and lane-major
+// scalar DeriveFrame on that lane's RNG — site-major and lane-major
 // enumeration commute because the streams are independent.
 func (w *worker) confirmLanes(seq *TestSequence, attempt int) sim.Word {
 	for lane := 0; lane < 64; lane++ {
@@ -576,13 +509,13 @@ func (w *worker) confirmLanes(seq *TestSequence, attempt int) sim.Word {
 func (w *worker) validate(seq *TestSequence) (*tdsim.FastFrame, bool) {
 	attempt := w.attempts
 	w.attempts++
-	ff := w.fastFrameWith(seq, w.seedLane(attempt, 0))
+	ff := w.fastFrame(seq, w.seedLane(attempt, 0))
 	if w.confirm(ff, seq.Fault) {
 		return ff, true
 	}
 	if w.e.opts.Reference {
 		for lane := 1; lane < 64; lane++ {
-			ff = w.fastFrameWith(seq, w.seedLane(attempt, lane))
+			ff = w.fastFrame(seq, w.seedLane(attempt, lane))
 			if w.confirm(ff, seq.Fault) {
 				return ff, true
 			}
@@ -595,5 +528,5 @@ func (w *worker) validate(seq *TestSequence) (*tdsim.FastFrame, bool) {
 	if det == 0 {
 		return nil, false
 	}
-	return w.fastFrameWith(seq, w.seedLane(attempt, bits.TrailingZeros64(uint64(det)))), true
+	return w.fastFrame(seq, w.seedLane(attempt, bits.TrailingZeros64(uint64(det)))), true
 }

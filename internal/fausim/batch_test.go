@@ -87,40 +87,54 @@ func TestStuckCoverageMatchesScalar(t *testing.T) {
 }
 
 // TestObservablePPOsMatchesScalar cross-checks the batched observability
-// analysis against per-flip PairDiff replays on a real benchmark.
+// analysis against per-flip PairDiff replays, on the event-driven and the
+// full-eval paths. s15850 has more than 64 flip-flops, so its candidates
+// split into several PairDiffBatch calls; the later rounds put X bits in
+// the good state, which both skip candidates and ride along as unknown
+// rails in every machine.
 func TestObservablePPOsMatchesScalar(t *testing.T) {
-	c := bench.ProfileByName("s298").Circuit()
-	net := sim.NewNet(c)
-	s := New(net)
-	rng := rand.New(rand.NewSource(6))
+	for _, tc := range []struct {
+		name   string
+		rounds int
+	}{{"s298", 10}, {"s15850", 2}} {
+		c := bench.ProfileByName(tc.name).Circuit()
+		for _, fullEval := range []bool{false, true} {
+			s := New(sim.NewNet(c))
+			s.SetFullEval(fullEval)
+			rng := rand.New(rand.NewSource(6))
+			for round := 0; round < 2*tc.rounds; round++ {
+				values := 2 // binary good state first, then X bits too
+				if round >= tc.rounds {
+					values = 3
+				}
+				good := make([]sim.V3, len(c.DFFs))
+				nonSteady := make([]bool, len(c.DFFs))
+				for i := range good {
+					good[i] = sim.V3(rng.Intn(values))
+					nonSteady[i] = rng.Intn(3) > 0
+				}
+				var vectors [][]sim.V3
+				for k := 0; k < 4; k++ {
+					v := make([]sim.V3, len(c.PIs))
+					for i := range v {
+						v[i] = sim.V3(rng.Intn(2))
+					}
+					vectors = append(vectors, v)
+				}
 
-	for round := 0; round < 10; round++ {
-		good := make([]sim.V3, len(c.DFFs))
-		nonSteady := make([]bool, len(c.DFFs))
-		for i := range good {
-			good[i] = sim.V3(rng.Intn(2))
-			nonSteady[i] = rng.Intn(3) > 0
-		}
-		var vectors [][]sim.V3
-		for k := 0; k < 4; k++ {
-			v := make([]sim.V3, len(c.PIs))
-			for i := range v {
-				v[i] = sim.V3(rng.Intn(2))
-			}
-			vectors = append(vectors, v)
-		}
-
-		got := s.ObservablePPOs(good, nonSteady, vectors)
-		for i, ns := range nonSteady {
-			want := false
-			if ns && good[i].Known() {
-				faulty := append([]sim.V3(nil), good...)
-				faulty[i] = sim.Not3(faulty[i])
-				frame, po := s.PairDiff(good, faulty, vectors)
-				want = frame >= 0 && po >= 0
-			}
-			if got[i] != want {
-				t.Errorf("round %d ppo %d: batched %v, scalar %v", round, i, got[i], want)
+				got := s.ObservablePPOs(s.GoodReplay(good, vectors), nonSteady)
+				for i, ns := range nonSteady {
+					want := false
+					if ns && good[i].Known() {
+						faulty := append([]sim.V3(nil), good...)
+						faulty[i] = sim.Not3(faulty[i])
+						frame, po := s.PairDiff(good, faulty, vectors)
+						want = frame >= 0 && po >= 0
+					}
+					if got[i] != want {
+						t.Errorf("%s fullEval=%v round %d ppo %d: batched %v, scalar %v", tc.name, fullEval, round, i, got[i], want)
+					}
+				}
 			}
 		}
 	}

@@ -82,8 +82,8 @@ func TestPairDiffBatchEventMatchesFull(t *testing.T) {
 			live := sim.Word(rng.Uint64()) | 1
 			eg := evt.GoodReplay(good, vectors)
 			fg := full.GoodReplay(good, vectors)
-			ed := evt.PairDiffBatch(eg, faultyV, live, vectors)
-			fd := full.PairDiffBatch(fg, faultyV, live, vectors)
+			ed := evt.PairDiffBatch(eg, faultyV, nil, live)
+			fd := full.PairDiffBatch(fg, faultyV, nil, live)
 			if ed != fd {
 				t.Fatalf("%s trial %d: event %x, full %x", name, trial, ed, fd)
 			}
@@ -116,8 +116,8 @@ func TestObservablePPOsEventMatchesFull(t *testing.T) {
 				}
 				vectors = append(vectors, vec)
 			}
-			eo := evt.ObservablePPOs(good, nonSteady, vectors)
-			fo := full.ObservablePPOs(good, nonSteady, vectors)
+			eo := evt.ObservablePPOs(evt.GoodReplay(good, vectors), nonSteady)
+			fo := full.ObservablePPOs(full.GoodReplay(good, vectors), nonSteady)
 			for i := range eo {
 				if eo[i] != fo[i] {
 					t.Fatalf("%s trial %d PPO %d: event %v, full %v", name, trial, i, eo[i], fo[i])

@@ -5,11 +5,15 @@
 // end of the fast frame is treated as a state difference that must reach a
 // primary output under slow, fault-free clocking.
 //
-// The bulk entry points (ObservablePPOs, StuckCoverage) run on the 64-way
-// dual-rail simulator: 64 faulty machines share one pass over the frame
-// loop, one bit per machine, with exact three-valued semantics. Per-Sim
-// scratch buffers make the passes allocation-free, so a Sim must not be
-// shared between goroutines; build one per worker.
+// The propagation-phase questions are pair replays against one good
+// replay (GoodReplay): PairDiff resolves one good/faulty state pair,
+// PairDiffBatch 64 of them in one pass of the 64-way dual-rail simulator
+// (one bit per machine, exact three-valued semantics), and the phase-2
+// analysis ObservablePPOs is a loop of PairDiffBatch calls, one machine
+// per flipped state bit. StuckCoverage packs 64 stuck-at machines per
+// pass the same way. Per-Sim scratch buffers make the passes
+// allocation-free, so a Sim must not be shared between goroutines; build
+// one per worker.
 package fausim
 
 import (
@@ -36,6 +40,11 @@ type Sim struct {
 	inj64              *sim.Inject64
 	stateV, stateK     []sim.Word
 	scratchV, scratchK []sim.Word
+	flipV, flipK       []sim.Word // ObservablePPOs' faulty rails
+
+	// The good replay's buffers (GoodReplay).
+	replay      Replay
+	replayState []sim.V3
 
 	// Scalar scratch of the event-driven paths: the good and faulty
 	// frame values and the states carried between frames.
@@ -65,6 +74,8 @@ func (s *Sim) scratch64() (*sim.Frame64, *sim.Inject64) {
 		s.stateK = make([]sim.Word, n)
 		s.scratchV = make([]sim.Word, n)
 		s.scratchK = make([]sim.Word, n)
+		s.flipV = make([]sim.Word, n)
+		s.flipK = make([]sim.Word, n)
 	}
 	return s.frame64, s.inj64
 }
@@ -91,33 +102,39 @@ func FillSequence(vectors [][]sim.V3, rng *rand.Rand) [][]sim.V3 {
 	return out
 }
 
-// Replay is the good machine's trace over a vector sequence: the
-// per-frame observable Steps plus — on the event-driven path — the
-// complete per-frame node values, which serve as the selective-trace
-// baseline the batched pair simulation diffs against.
+// Replay is the good machine's trace over a propagation sequence: the
+// starting state, the vectors and the complete node values of every
+// frame, the baseline the batched pair simulation compares against (and,
+// on the event-driven path, overlays). It lives on buffers the Sim owns,
+// aliases the caller's state and vectors, and stays valid until the
+// Sim's next GoodReplay call.
 type Replay struct {
-	Steps []sim.Step
-	vals  [][]sim.V3 // full node values per frame; nil on the full-eval path
+	init    []sim.V3
+	vectors [][]sim.V3
+	vals    [][]sim.V3 // per frame: every node's value; may hold spare frames
 }
 
 // GoodReplay simulates the good machine over the vectors from initState
 // (nil for power-up) and returns the per-frame trace.
 func (s *Sim) GoodReplay(initState []sim.V3, vectors [][]sim.V3) *Replay {
-	if s.fullEval {
-		return &Replay{Steps: s.net.SeqSim3(initState, vectors)}
+	c := s.net.C
+	r := &s.replay
+	r.init, r.vectors = initState, vectors
+	for len(r.vals) < len(vectors) {
+		r.vals = append(r.vals, make([]sim.V3, len(c.Nodes)))
 	}
-	r := &Replay{
-		Steps: make([]sim.Step, 0, len(vectors)),
-		vals:  make([][]sim.V3, 0, len(vectors)),
+	if s.replayState == nil {
+		s.replayState = make([]sim.V3, len(c.DFFs))
 	}
 	state := initState
-	for _, vec := range vectors {
-		vals := s.net.LoadFrame(vec, state)
+	for fi, vec := range vectors {
+		vals := r.vals[fi]
+		s.net.LoadFrameInto(vals, vec, state)
 		s.net.Eval3(vals, nil)
-		st := sim.Step{Outputs: s.net.Outputs3(vals), State: s.net.NextState3(vals, nil)}
-		r.Steps = append(r.Steps, st)
-		r.vals = append(r.vals, vals)
-		state = st.State
+		state = s.replayState
+		for i, ff := range c.DFFs {
+			state[i] = vals[c.Nodes[ff].Fanin[0]]
+		}
 	}
 	return r
 }
@@ -186,33 +203,38 @@ func (s *Sim) PairDiff(goodState, faultyState []sim.V3, vectors [][]sim.V3) (int
 }
 
 // PairDiffBatch resolves up to 64 good/faulty state pairs in one replay
-// of the propagation frames: machine k starts from the fully specified
-// faulty state whose flip-flop i value is bit k of faultyV[i], and is
-// compared frame by frame against the precomputed good replay (goods
-// must be GoodReplay(goodState, vectors) for the shared good state).
-// live selects the machines to resolve; the returned word marks the
-// machines with a provable good/faulty PO difference in some frame —
-// per machine exactly the PairDiff verdict (frame >= 0), because the
-// dual-rail evaluation is bit-exact against the scalar three-valued
-// simulation and a once-detected machine stays detected. The frame loop
-// stops as soon as every live machine is resolved.
+// of the propagation frames: machine k starts from the faulty state
+// whose flip-flop i value is bit k of faultyV[i], known where bit k of
+// faultyK[i] is set (nil faultyK: every bit known), and is compared
+// frame by frame against the good replay over the same vectors. live
+// selects the machines to resolve; the returned word marks the machines
+// with a provable good/faulty PO difference in some frame — per machine
+// exactly the PairDiff verdict (frame >= 0), because the dual-rail
+// evaluation is bit-exact against the scalar three-valued simulation and
+// a once-detected machine stays detected. The frame loop stops as soon
+// as every live machine is resolved.
 //
-// When the replay carries the full good-machine values (the event-driven
-// default), each frame evaluates only the dual-rail overlay of the state
-// bits that still diverge from the good machine, and the loop exits as
-// soon as every machine's state has collapsed onto the good one.
-func (s *Sim) PairDiffBatch(goods *Replay, faultyV []sim.Word, live sim.Word, vectors [][]sim.V3) sim.Word {
+// By default each frame evaluates only the dual-rail overlay of the
+// state bits that still diverge from the good machine, and the loop
+// exits as soon as every machine's state has collapsed onto the good
+// one.
+func (s *Sim) PairDiffBatch(goods *Replay, faultyV, faultyK []sim.Word, live sim.Word) sim.Word {
 	frame, _ := s.scratch64()
 	net := s.net
 	stateV, stateK := s.stateV, s.stateK
-	for i := range net.C.DFFs {
-		stateV[i], stateK[i] = faultyV[i], sim.AllOnes
+	copy(stateV, faultyV)
+	if faultyK == nil {
+		for i := range stateK {
+			stateK[i] = sim.AllOnes
+		}
+	} else {
+		copy(stateK, faultyK)
 	}
-	event := !s.fullEval && goods.vals != nil
+	event := !s.fullEval
 	var detected sim.Word
-	for fi, vec := range vectors {
+	for fi, vec := range goods.vectors {
+		base := goods.vals[fi]
 		if event {
-			base := goods.vals[fi]
 			seeded := false
 			for i, ff := range net.C.DFFs {
 				bv, bk := sim.Broadcast64(base[ff])
@@ -222,7 +244,7 @@ func (s *Sim) PairDiffBatch(goods *Replay, faultyV []sim.Word, live sim.Word, ve
 				}
 			}
 			if !seeded {
-				// Every live machine's state coincides with the good
+				// Every machine's state coincides with the good
 				// machine's: no later frame can distinguish them.
 				return detected
 			}
@@ -234,11 +256,11 @@ func (s *Sim) PairDiffBatch(goods *Replay, faultyV []sim.Word, live sim.Word, ve
 			}
 			net.Eval64DR(frame, nil)
 		}
-		for p, po := range net.C.POs {
+		for _, po := range net.C.POs {
 			if event && !net.Overlay64Marked(po) {
 				continue // identical to the good machine: no provable diff
 			}
-			good := goods.Steps[fi].Outputs[p]
+			good := base[po]
 			if !good.Known() {
 				continue
 			}
@@ -257,7 +279,6 @@ func (s *Sim) PairDiffBatch(goods *Replay, faultyV []sim.Word, live sim.Word, ve
 			}
 		}
 		if event {
-			base := goods.vals[fi]
 			for i, ff := range net.C.DFFs {
 				d := net.C.Nodes[ff].Fanin[0]
 				if net.Overlay64Marked(d) {
@@ -277,166 +298,49 @@ func (s *Sim) PairDiffBatch(goods *Replay, faultyV []sim.Word, live sim.Word, ve
 	return detected
 }
 
-// ObservablePPOs performs the paper's phase-2 analysis: for every flip-flop
-// index whose captured value could carry a fault effect (nonSteady), a
-// D is injected by flipping that state bit and the propagation vectors are
-// replayed; the result marks the PPOs whose effects reach a primary
-// output. The fault effect exists only at the observation point in the
-// fast frame — later frames are fault free — which is exactly how FAUSIM
+// ObservablePPOs performs the paper's phase-2 analysis over the good
+// replay of the propagation vectors: for every flip-flop index whose
+// captured value could carry a fault effect (nonSteady) and is known in
+// the replay's starting state, a D is injected by flipping that state
+// bit; the result marks the PPOs whose effects reach a primary output.
+// The fault effect exists only at the observation point in the fast
+// frame — later frames are fault free — which is exactly how FAUSIM
 // treats it.
 //
-// All candidate flips are simulated together, 63 faulty machines plus the
-// good machine per 64-bit word, so the whole analysis costs a single
-// replay of the propagation frames per batch instead of one per flip-flop.
-func (s *Sim) ObservablePPOs(goodState []sim.V3, nonSteady []bool, vectors [][]sim.V3) []bool {
-	obs := make([]bool, len(goodState))
+// Each batch of up to 64 candidate flips is one PairDiffBatch, one
+// machine per flip, so the analysis costs a single pair replay of the
+// propagation frames per batch instead of one per flip-flop.
+func (s *Sim) ObservablePPOs(goods *Replay, nonSteady []bool) []bool {
+	good := goods.init
+	obs := make([]bool, len(good))
 	var cand []int
-	for i, ns := range nonSteady {
-		if ns && goodState[i].Known() {
+	for i, v := range good {
+		if nonSteady[i] && v.Known() {
 			cand = append(cand, i)
 		}
 	}
-	const goodBit = 63 // machine 63 is the fault-free reference
+	s.scratch64()
+	fv, fk := s.flipV, s.flipK
 	for len(cand) > 0 {
 		batch := cand
-		if len(batch) > goodBit {
-			batch = batch[:goodBit]
+		if len(batch) > 64 {
+			batch = batch[:64]
 		}
 		cand = cand[len(batch):]
-		s.observeBatch(goodState, batch, vectors, obs)
+		for i, v := range good {
+			fv[i], fk[i] = sim.Broadcast64(v)
+		}
+		var live sim.Word
+		for b, i := range batch {
+			fv[i] ^= sim.Word(1) << uint(b)
+			live |= sim.Word(1) << uint(b)
+		}
+		det := s.PairDiffBatch(goods, fv, fk, live)
+		for b, i := range batch {
+			obs[i] = det&(sim.Word(1)<<uint(b)) != 0
+		}
 	}
 	return obs
-}
-
-// observeBatch replays the propagation frames once for up to 63 state
-// flips: machine b starts from goodState with batch[b] flipped, machine 63
-// is the unmodified good machine. A machine whose PO word provably differs
-// from the good machine's is observable; the frame loop stops as soon as
-// every machine in the batch is resolved or the vectors run out.
-//
-// On the event-driven path the good machine runs scalar and the flipped
-// machines are a dual-rail overlay over it: only cones of still-diverging
-// state bits are evaluated per frame, and the replay stops once every
-// machine's state has collapsed onto the good one. The verdicts are
-// bit-identical to the full walk, where machine 63's rails are exactly
-// the broadcast of the scalar good values.
-func (s *Sim) observeBatch(goodState []sim.V3, batch []int, vectors [][]sim.V3, obs []bool) {
-	const goodBit = 63
-	frame, _ := s.scratch64()
-	net := s.net
-	stateV, stateK := s.stateV, s.stateK
-	for i, v := range goodState {
-		stateV[i], stateK[i] = sim.Broadcast64(v)
-	}
-	for b, ffIdx := range batch {
-		stateV[ffIdx] ^= sim.Word(1) << uint(b)
-	}
-	live := sim.Word(0)
-	for b := range batch {
-		live |= sim.Word(1) << uint(b)
-	}
-	if !s.fullEval {
-		s.observeBatchEvent(goodState, batch, vectors, obs, live)
-		return
-	}
-	for _, vec := range vectors {
-		net.LoadFrame64DR(frame, vec, nil)
-		for i, ff := range net.C.DFFs {
-			frame.V[ff], frame.K[ff] = stateV[i], stateK[i]
-		}
-		net.Eval64DR(frame, nil)
-		for _, po := range net.C.POs {
-			v, k := frame.V[po], frame.K[po]
-			if k&(1<<goodBit) == 0 {
-				continue // good machine value unknown: no provable diff
-			}
-			good := sim.Word(0)
-			if v&(1<<goodBit) != 0 {
-				good = sim.AllOnes
-			}
-			diff := (v ^ good) & k & live
-			if diff == 0 {
-				continue
-			}
-			for b := range batch {
-				if diff&(1<<uint(b)) != 0 {
-					obs[batch[b]] = true
-				}
-			}
-			live &^= diff
-			if live == 0 {
-				return
-			}
-		}
-		net.NextState64DR(frame, nil, s.scratchV, s.scratchK)
-		stateV, stateK = s.scratchV, s.scratchK
-		s.scratchV, s.scratchK = s.stateV, s.stateK
-		s.stateV, s.stateK = stateV, stateK
-	}
-}
-
-// observeBatchEvent is observeBatch's selective-trace body. The flipped
-// machines' rails were installed in s.stateV/s.stateK by the caller.
-func (s *Sim) observeBatchEvent(goodState []sim.V3, batch []int, vectors [][]sim.V3, obs []bool, live sim.Word) {
-	frame, _ := s.scratch64()
-	net := s.net
-	c := net.C
-	gv, _ := s.scratchScalar()
-	g := append(s.gstate[:0], goodState...)
-	stateV, stateK := s.stateV, s.stateK
-	for _, vec := range vectors {
-		s.net.LoadFrameInto(gv, vec, g)
-		net.Eval3(gv, nil)
-		seeded := false
-		for i, ff := range c.DFFs {
-			bv, bk := sim.Broadcast64(gv[ff])
-			if stateV[i] != bv || stateK[i] != bk {
-				net.Overlay64Set(frame, ff, stateV[i], stateK[i])
-				seeded = true
-			}
-		}
-		if !seeded {
-			return // every machine's state equals the good machine's
-		}
-		net.Eval64DROverlay(frame, gv)
-		for _, po := range c.POs {
-			if !net.Overlay64Marked(po) {
-				continue
-			}
-			good := gv[po]
-			if !good.Known() {
-				continue // good machine value unknown: no provable diff
-			}
-			gw, _ := sim.Broadcast64(good)
-			diff := (frame.V[po] ^ gw) & frame.K[po] & live
-			if diff == 0 {
-				continue
-			}
-			for b := range batch {
-				if diff&(1<<uint(b)) != 0 {
-					obs[batch[b]] = true
-				}
-			}
-			live &^= diff
-			if live == 0 {
-				net.Overlay64Reset()
-				return
-			}
-		}
-		for i, ff := range c.DFFs {
-			d := c.Nodes[ff].Fanin[0]
-			if net.Overlay64Marked(d) {
-				s.scratchV[i], s.scratchK[i] = frame.V[d], frame.K[d]
-			} else {
-				s.scratchV[i], s.scratchK[i] = sim.Broadcast64(gv[d])
-			}
-			g[i] = gv[d]
-		}
-		net.Overlay64Reset()
-		stateV, stateK = s.scratchV, s.scratchK
-		s.scratchV, s.scratchK = s.stateV, s.stateK
-		s.stateV, s.stateK = stateV, stateK
-	}
 }
 
 // stuck64 is one packed stuck-at fault instance.
@@ -455,7 +359,7 @@ type stuck64 struct {
 // machines are all detected stops before the frame loop ends.
 func (s *Sim) StuckCoverage(vectors [][]sim.V3, lines []netlist.Line) map[netlist.Line][2]bool {
 	out := make(map[netlist.Line][2]bool, len(lines))
-	goods := s.net.SeqSim3(nil, vectors)
+	goods := s.GoodReplay(nil, vectors)
 
 	all := make([]stuck64, 0, 2*len(lines))
 	for _, l := range lines {
@@ -467,7 +371,7 @@ func (s *Sim) StuckCoverage(vectors [][]sim.V3, lines []netlist.Line) map[netlis
 			batch = batch[:64]
 		}
 		all = all[len(batch):]
-		detected := s.stuckBatch(vectors, goods, batch)
+		detected := s.stuckBatch(goods, batch)
 		for b, f := range batch {
 			det := out[f.line]
 			if detected&(1<<uint(b)) != 0 {
@@ -506,7 +410,7 @@ func SortedDetections(cov map[netlist.Line][2]bool) []Detection {
 
 // stuckBatch pair-simulates up to 64 stuck-at machines against the
 // precomputed good replay and returns the detected machine mask.
-func (s *Sim) stuckBatch(vectors [][]sim.V3, goods []sim.Step, batch []stuck64) sim.Word {
+func (s *Sim) stuckBatch(goods *Replay, batch []stuck64) sim.Word {
 	frame, inj := s.scratch64()
 	inj.Reset()
 	live := sim.Word(0)
@@ -519,14 +423,14 @@ func (s *Sim) stuckBatch(vectors [][]sim.V3, goods []sim.Step, batch []stuck64) 
 		stateV[i], stateK[i] = 0, 0 // power-up: all X
 	}
 	detected := sim.Word(0)
-	for fi, vec := range vectors {
+	for fi, vec := range goods.vectors {
 		s.net.LoadFrame64DR(frame, vec, nil)
 		for i, ff := range s.net.C.DFFs {
 			frame.V[ff], frame.K[ff] = stateV[i], stateK[i]
 		}
 		s.net.Eval64DR(frame, inj)
-		for p, po := range s.net.C.POs {
-			good := goods[fi].Outputs[p]
+		for _, po := range s.net.C.POs {
+			good := goods.vals[fi][po]
 			if !good.Known() {
 				continue
 			}

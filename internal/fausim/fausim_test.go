@@ -2,6 +2,7 @@ package fausim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"fogbuster/internal/bench"
@@ -115,7 +116,7 @@ func TestPairDiffBatchMatchesScalar(t *testing.T) {
 			}
 		}
 		goods := s.GoodReplay(good, vectors)
-		detected := s.PairDiffBatch(goods, faultyV, sim.AllOnes, vectors)
+		detected := s.PairDiffBatch(goods, faultyV, nil, sim.AllOnes)
 		for m := 0; m < 64; m++ {
 			frame, po := s.PairDiff(good, faulty[m], vectors)
 			want := frame >= 0 && po >= 0
@@ -135,14 +136,14 @@ func TestObservablePPOs(t *testing.T) {
 	good := []sim.V3{sim.Lo, sim.Lo, sim.Lo, sim.Lo}
 	nonSteady := []bool{true, true, true, true}
 	long := [][]sim.V3{{sim.Lo}, {sim.Lo}, {sim.Lo}, {sim.Lo}}
-	obs := s.ObservablePPOs(good, nonSteady, long)
+	obs := s.ObservablePPOs(s.GoodReplay(good, long), nonSteady)
 	for i, o := range obs {
 		if !o {
 			t.Errorf("stage %d not observable with 4 frames", i)
 		}
 	}
 	short := [][]sim.V3{{sim.Lo}}
-	obs = s.ObservablePPOs(good, nonSteady, short)
+	obs = s.ObservablePPOs(s.GoodReplay(good, short), nonSteady)
 	if obs[0] || obs[1] || obs[2] {
 		t.Error("early stages observable with one frame")
 	}
@@ -150,7 +151,7 @@ func TestObservablePPOs(t *testing.T) {
 		t.Error("last stage must be observable with one frame")
 	}
 	// The nonSteady mask suppresses analysis.
-	none := s.ObservablePPOs(good, []bool{false, false, false, false}, long)
+	none := s.ObservablePPOs(s.GoodReplay(good, long), []bool{false, false, false, false})
 	for i, o := range none {
 		if o {
 			t.Errorf("stage %d observable despite steady mask", i)
@@ -174,7 +175,7 @@ func TestStuckCoverage(t *testing.T) {
 }
 
 // TestGoodReplayMatchesSeqSim: GoodReplay is SeqSim3 by another name; pin
-// the equivalence on a random workload.
+// the equivalence of the kept frame values on a random workload.
 func TestGoodReplayMatchesSeqSim(t *testing.T) {
 	c := bench.ProfileByName("s298").Circuit()
 	net := sim.NewNet(c)
@@ -190,14 +191,15 @@ func TestGoodReplayMatchesSeqSim(t *testing.T) {
 	}
 	a := s.GoodReplay(nil, vectors)
 	b := net.SeqSim3(nil, vectors)
-	if len(a.Steps) != len(b) {
+	if len(a.vals) < len(b) {
 		t.Fatal("length mismatch")
 	}
-	for i := range a.Steps {
-		for j := range a.Steps[i].State {
-			if a.Steps[i].State[j] != b[i].State[j] {
-				t.Fatalf("state mismatch at frame %d", i)
-			}
+	for i, st := range b {
+		if got := net.NextState3(a.vals[i], nil); !slices.Equal(got, st.State) {
+			t.Fatalf("state mismatch at frame %d", i)
+		}
+		if got := net.Outputs3(a.vals[i]); !slices.Equal(got, st.Outputs) {
+			t.Fatalf("output mismatch at frame %d", i)
 		}
 	}
 	if s.Net() != net {

@@ -285,12 +285,14 @@ func TestResultCacheReplayByteIdentical(t *testing.T) {
 	if stats.ResultCache.Hits != 1 {
 		t.Fatalf("result cache hits = %d, want 1", stats.ResultCache.Hits)
 	}
-	// A config spelled differently but canonically equal also hits.
-	third := postJob(t, ts.URL, SubmitRequest{Benchmark: "s27", Config: atpg.Config{
-		Workers: 2, Algebra: atpg.AlgebraRobust, Order: atpg.OrderNatural,
-		LocalBacktracks: 100, SeqBacktracks: 100, MaxFrames: 32,
-		ConeSets: atpg.ConeSetsCompressed, // memory/speed only: provably identical result
-	}})
+	// A config spelled differently but canonically equal also hits,
+	// including the cone_sets knob no run reads.
+	var spelled SubmitRequest
+	if err := json.Unmarshal([]byte(`{"benchmark":"s27","config":{"workers":2,"algebra":"robust","order":"natural",`+
+		`"local_backtracks":100,"seq_backtracks":100,"max_frames":32,"cone_sets":"compressed"}}`), &spelled); err != nil {
+		t.Fatal(err)
+	}
+	third := postJob(t, ts.URL, spelled)
 	waitDone(t, ts.URL, third.ID)
 	if !bytes.Equal(getResult(t, ts.URL, third.ID), firstBytes) {
 		t.Fatal("canonically equal config missed the cache or diverged")

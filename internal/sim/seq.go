@@ -29,14 +29,20 @@ func (n *Net) SeqSim3(initState []V3, vectors [][]V3) []Step {
 // the paper's phase-1 treatment of don't-cares before fault simulation.
 func XFill(vec []V3, rng *rand.Rand) []V3 {
 	out := make([]V3, len(vec))
+	XFillInto(out, vec, rng)
+	return out
+}
+
+// XFillInto is XFill writing into a caller-owned buffer of len(vec);
+// dst may be vec itself. The draws happen in index order, one per X.
+func XFillInto(dst, vec []V3, rng *rand.Rand) {
 	for i, v := range vec {
 		if v == X {
-			out[i] = V3(rng.Intn(2))
+			dst[i] = V3(rng.Intn(2))
 		} else {
-			out[i] = v
+			dst[i] = v
 		}
 	}
-	return out
 }
 
 // SplitMix64 is the splitmix64 finalizer: a bijective scramble in which

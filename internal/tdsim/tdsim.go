@@ -3,7 +3,10 @@
 // the fast time frame by critical path tracing (CPT) from all primary
 // outputs and from the PPOs that FAUSIM found observable in the
 // propagation phase, including the invalidation analysis for faults
-// detected through a PPO.
+// detected through a PPO. It also owns phase 1, the derivation of the
+// concrete fast frame from a test's don't-cares (DeriveFrame), and
+// Detect runs phase 2 (fausim.ObservablePPOs) and phase 3 over one good
+// replay of the propagation frames.
 //
 // Critical path tracing yields candidate faults; each candidate is
 // confirmed by exact fault injection in the eight-valued two-frame
@@ -15,12 +18,15 @@
 //
 // Confirmation runs word-parallel by default: ConfirmBatch packs 64
 // candidates per machine word through the carry-rail encoding of the
-// eight-valued algebra (sim.EvalCarry64) and a batched dual-rail replay
-// (fausim.PairDiffBatch), with verdicts bit-identical to the scalar
-// Confirm, which remains the reference oracle (see DESIGN.md §6).
+// eight-valued algebra (sim.EvalCarry64) and a batched dual-rail pair
+// replay (fausim.PairDiffBatch, the kernel phase 2 runs on too), with
+// verdicts bit-identical to the scalar Confirm, which remains the
+// reference oracle (see DESIGN.md §6).
 package tdsim
 
 import (
+	"math/rand"
+
 	"fogbuster/internal/faults"
 	"fogbuster/internal/fausim"
 	"fogbuster/internal/logic"
@@ -60,6 +66,14 @@ type Sim struct {
 	// Scratch for the lane-parallel X-fill confirmation (ConfirmFills),
 	// built on first use.
 	fill *fillScratch
+
+	// The derived fast frame (DeriveFrame) and the buffers it aliases.
+	ff       FastFrame
+	s0, s1   []sim.V3
+	v1, v2   []sim.V3
+	pi       []sim.V3
+	frame3   []sim.V3
+	propRows [][]sim.V3
 }
 
 // New builds the simulator.
@@ -74,6 +88,12 @@ func New(net *sim.Net, alg *logic.Algebra) *Sim {
 		carry:    make([]sim.Word, len(net.C.Nodes)),
 		faultyV:  make([]sim.Word, len(net.C.DFFs)),
 		injD:     net.NewInjectDelay64(),
+		s0:       make([]sim.V3, len(net.C.DFFs)),
+		s1:       make([]sim.V3, len(net.C.DFFs)),
+		v1:       make([]sim.V3, len(net.C.PIs)),
+		v2:       make([]sim.V3, len(net.C.PIs)),
+		pi:       make([]sim.V3, len(net.C.PIs)),
+		frame3:   make([]sim.V3, len(net.C.Nodes)),
 	}
 }
 
@@ -97,6 +117,60 @@ type FastFrame struct {
 	V1, V2 []sim.V3
 	S0, S1 []sim.V3
 	Prop   [][]sim.V3
+}
+
+// DeriveFrame is the paper's fault simulation phase 1: it fills the
+// test's don't-cares from rng and derives the concrete fast frame by
+// good-machine simulation through the synchronization frames and the
+// initial time frame. The machine starts from entry when the test runs
+// right after another one (the compaction splice), and otherwise from a
+// random power-up state that keeps the assumed bits (assumed may be
+// nil). The draws come in one fixed order — power-up state, sync fills,
+// state fill, V1, V2, latched-state fill, propagation fills — which the
+// engine's lane-parallel fill mirrors site by site. The returned frame
+// lives on buffers the Sim owns and is valid until the next DeriveFrame
+// call.
+func (s *Sim) DeriveFrame(entry, assumed []sim.V3, sync [][]sim.V3, v1, v2 []sim.V3, prop [][]sim.V3, rng *rand.Rand) *FastFrame {
+	net := s.net
+	t := net.T
+	state := s.s0
+	switch {
+	case entry != nil:
+		copy(state, entry)
+	case assumed != nil:
+		sim.XFillInto(state, assumed, rng)
+	default:
+		for i := range state {
+			state[i] = sim.V3(rng.Intn(2))
+		}
+	}
+	// Simulation draws nothing, so filling each sync vector just before
+	// its frame keeps the all-fills-first draw order.
+	for _, vec := range sync {
+		sim.XFillInto(s.pi, vec, rng)
+		net.LoadFrameInto(s.frame3, s.pi, state)
+		net.Eval3(s.frame3, nil)
+		for i, ff := range net.C.DFFs {
+			state[i] = s.frame3[t.Fanin[t.FaninOff[ff]]]
+		}
+	}
+	sim.XFillInto(state, state, rng)
+	sim.XFillInto(s.v1, v1, rng)
+	sim.XFillInto(s.v2, v2, rng)
+	net.LoadFrameInto(s.frame3, s.v1, state)
+	net.Eval3(s.frame3, nil)
+	for i, ff := range net.C.DFFs {
+		s.s1[i] = s.frame3[t.Fanin[t.FaninOff[ff]]]
+	}
+	sim.XFillInto(s.s1, s.s1, rng)
+	for len(s.propRows) < len(prop) {
+		s.propRows = append(s.propRows, make([]sim.V3, len(net.C.PIs)))
+	}
+	for k, vec := range prop {
+		sim.XFillInto(s.propRows[k], vec, rng)
+	}
+	s.ff = FastFrame{V1: s.v1, V2: s.v2, S0: state, S1: s.s1, Prop: s.propRows[:len(prop)]}
+	return &s.ff
 }
 
 // Values computes the fault-free two-frame value of every node.
@@ -129,7 +203,8 @@ func (s *Sim) detect(ff *FastFrame, skip func(faults.Delay) bool, batched bool) 
 	vals := s.Values(ff)
 
 	// Phase 2 (FAUSIM): which PPOs with a potential fault effect are
-	// observable at a PO through the propagation frames?
+	// observable at a PO through the propagation frames? Its good replay
+	// serves the batched confirmation below as well.
 	goodS2 := make([]sim.V3, len(s.net.C.DFFs))
 	nonSteady := make([]bool, len(s.net.C.DFFs))
 	ppos := s.net.C.PPOs()
@@ -137,7 +212,8 @@ func (s *Sim) detect(ff *FastFrame, skip func(faults.Delay) bool, batched bool) 
 		goodS2[i] = sim.V3(vals[ppo].Final())
 		nonSteady[i] = !vals[ppo].Steady()
 	}
-	obsPPO := s.fs.ObservablePPOs(goodS2, nonSteady, ff.Prop)
+	goods := s.fs.GoodReplay(goodS2, ff.Prop)
+	obsPPO := s.fs.ObservablePPOs(goods, nonSteady)
 
 	// Phase 3 (TDsim): critical path tracing from the POs and from the
 	// observable PPOs, then exact confirmation per candidate. The skip
@@ -160,7 +236,7 @@ func (s *Sim) detect(ff *FastFrame, skip func(faults.Delay) bool, batched bool) 
 			s.verdicts = make([]bool, len(cands))
 		}
 		out := s.verdicts[:len(cands)]
-		s.ConfirmBatch(ff, vals, goodS2, cands, out)
+		s.confirmBatch(ff, vals, goods, cands, out)
 		for i, f := range cands {
 			if out[i] {
 				detected = append(detected, f)
@@ -179,14 +255,20 @@ func (s *Sim) detect(ff *FastFrame, skip func(faults.Delay) bool, batched bool) 
 // ConfirmBatch runs Confirm's exact decision for every candidate, 64
 // machines per word: one carry-rail evaluation of the fast frame per
 // batch (see sim.EvalCarry64 for the encoding), the batched capture
-// rule, and one 64-way dual-rail replay of the propagation frames for
-// the machines observed only at a PPO, against a good replay computed
-// once per call. out[i] receives the verdict for cands[i] and must hold
-// at least len(cands) entries; every verdict is bit-identical to the
+// rule, and one 64-way dual-rail pair replay of the propagation frames
+// for the machines observed only at a PPO, against the good replay from
+// goodS2. out[i] receives the verdict for cands[i] and must hold at least
+// len(cands) entries; every verdict is bit-identical to the
 // corresponding scalar Confirm call (pinned by
 // TestConfirmBatchMatchesScalar).
 func (s *Sim) ConfirmBatch(ff *FastFrame, goodVals []logic.Value, goodS2 []sim.V3, cands []faults.Delay, out []bool) {
-	var goods *fausim.Replay
+	s.confirmBatch(ff, goodVals, s.fs.GoodReplay(goodS2, ff.Prop), cands, out)
+}
+
+// confirmBatch is ConfirmBatch over a good replay the caller already
+// holds, so Detect simulates the good machine over the propagation
+// frames once for both phase 2 and phase 3.
+func (s *Sim) confirmBatch(ff *FastFrame, goodVals []logic.Value, goods *fausim.Replay, cands []faults.Delay, out []bool) {
 	for base := 0; base < len(cands); base += 64 {
 		chunk := cands[base:]
 		if len(chunk) > 64 {
@@ -223,11 +305,8 @@ func (s *Sim) ConfirmBatch(ff *FastFrame, goodVals []logic.Value, goodS2 []sim.V
 			// before the replay below reuses the Net's overlay kernel.
 			s.net.ResetCarry64(s.carry)
 		}
-		if need := carried &^ det; need != 0 && len(ff.Prop) > 0 {
-			if goods == nil {
-				goods = s.fs.GoodReplay(goodS2, ff.Prop)
-			}
-			det |= s.fs.PairDiffBatch(goods, s.faultyV, need, ff.Prop)
+		if need := carried &^ det; need != 0 {
+			det |= s.fs.PairDiffBatch(goods, s.faultyV, nil, need)
 		}
 		for b := range chunk {
 			out[base+b] = det&(sim.Word(1)<<uint(b)) != 0

@@ -11,12 +11,11 @@ import (
 
 // TestLargeBudgetedSmoke is the industrial-scale smoke test: the
 // s15850- and s38584-class profiles synthesize to their calibrated fault
-// universes, build the flat CSR topology with per-stem cone sets far
-// below the dense all-stems matrix (the representation that made >10k
-// gate circuits memory-hostile), and complete a budgeted ATPG run with
-// compressed cone sets on a small fault budget. It is the floor under
-// "the engine runs at industrial node counts", not a performance
-// measurement (EXPERIMENTS.md records those).
+// universes, their auto-policy cone sets (sim.Topology.ConeFootprint)
+// stay far below the dense all-stems matrix, and a budgeted ATPG run
+// completes on a small fault budget without a validation failure. It is
+// the floor under "the engine runs at industrial node counts", not a
+// performance measurement (EXPERIMENTS.md records those).
 func TestLargeBudgetedSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large-profile smoke in -short mode")
@@ -38,15 +37,15 @@ func TestLargeBudgetedSmoke(t *testing.T) {
 		}
 	}
 
-	// One budgeted run per circuit on compressed cone sets. The budgets and
-	// backtrack limits are tiny on purpose: the smoke pins "completes and
-	// classifies in-budget faults", CI-affordably.
+	// One budgeted run per circuit. The budgets and backtrack limits are
+	// tiny on purpose: the smoke pins "completes and classifies in-budget
+	// faults", CI-affordably.
 	for _, tc := range []struct {
 		name string
 		opts core.Options
 	}{
-		{"s15850", core.Options{Workers: 16, MaxTargets: 8, ConeSets: "compressed"}},
-		{"s38584", core.Options{Workers: 4, MaxTargets: 2, LocalBacktracks: 10, SeqBacktracks: 10, ConeSets: "compressed"}},
+		{"s15850", core.Options{Workers: 16, MaxTargets: 8}},
+		{"s38584", core.Options{Workers: 4, MaxTargets: 2, LocalBacktracks: 10, SeqBacktracks: 10}},
 	} {
 		c := bench.ProfileByName(tc.name).Circuit()
 		sum := core.MustNew(c, tc.opts).Run()

@@ -215,6 +215,11 @@ func MergeResults(parts ...*Result) (*Result, error) {
 	}
 	ref := parts[0]
 	total := ref.Shard.Total
+	if total < 0 || total > len(ref.Faults) {
+		// Checked before total sizes any allocation: parts arrive from
+		// remote workers.
+		return nil, fmt.Errorf("atpg: part 0 targets %d positions of %d faults", total, len(ref.Faults))
+	}
 	for i, p := range parts {
 		switch {
 		case p.Circuit != ref.Circuit:

@@ -21,16 +21,15 @@ import (
 // LoadBench or Benchmark.
 //
 // A Circuit memoizes derived read-only state — the canonical content
-// hash and the simulation topology (levelized CSR view plus lazily
-// built cone sets) — so that any number of concurrent Sessions over the
-// same Circuit pay levelization once. Sharing a *Circuit between
-// goroutines is safe.
+// hash and the simulation topology (the levelized CSR view) — so that
+// any number of concurrent Sessions over the same Circuit pay
+// levelization once. Sharing a *Circuit between goroutines is safe.
 type Circuit struct {
 	c *netlist.Circuit
 
-	mu    sync.Mutex
-	hash  string                           // memoized ContentHash
-	topos map[sim.ConePolicy]*sim.Topology // memoized per cone policy
+	mu   sync.Mutex
+	hash string        // memoized ContentHash
+	topo *sim.Topology // memoized simulation topology
 	// topoBuilds counts actual topology constructions (white-box
 	// observability for the sharing tests).
 	topoBuilds int
@@ -97,25 +96,18 @@ func (c *Circuit) ContentHash() string {
 	return c.hash
 }
 
-// topology returns the memoized shared simulation topology for the cone
-// policy, building it on first use. Every Session over this Circuit
-// with the same policy reuses one Topology (it is immutable and already
-// shared by all workers of a run), so levelization and cone-set
-// construction are paid once per circuit, not per job.
-func (c *Circuit) topology(policy sim.ConePolicy) *sim.Topology {
+// topology returns the memoized shared simulation topology, building it
+// on first use. Every Session over this Circuit reuses one Topology (it
+// is immutable and already shared by all workers of a run), so
+// levelization is paid once per circuit, not per job.
+func (c *Circuit) topology() *sim.Topology {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if t, ok := c.topos[policy]; ok {
-		return t
+	if c.topo == nil {
+		c.topo = sim.NewTopology(c.c)
+		c.topoBuilds++
 	}
-	if c.topos == nil {
-		c.topos = make(map[sim.ConePolicy]*sim.Topology)
-	}
-	t := sim.NewTopology(c.c)
-	t.SetConePolicy(policy)
-	c.topos[policy] = t
-	c.topoBuilds++
-	return t
+	return c.topo
 }
 
 // Faults returns the size of the gate delay fault universe (two faults

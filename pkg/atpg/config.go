@@ -21,9 +21,6 @@ const (
 	ConeSetsCompressed = "compressed"
 )
 
-// ConeSetPolicies lists every recognized cone-set policy, auto first.
-func ConeSetPolicies() []string { return []string{ConeSetsAuto, ConeSetsDense, ConeSetsCompressed} }
-
 // Algebra names accepted by Config.Algebra.
 const (
 	// AlgebraRobust is the paper's eight-valued robust algebra, the
@@ -94,11 +91,12 @@ type Config struct {
 	// (reverse-order drop + overlap splicing); the statistics land in
 	// Result.Compaction. A cancelled run is never compacted.
 	Compact bool `json:"compact,omitempty"`
-	// ConeSets selects the representation of the per-stem cone membership
-	// sets: "", "auto", "dense" or "compressed". Purely a memory/speed
-	// trade; results never depend on it. Compressed or auto is what makes
-	// >10k-gate circuits practical (the dense all-stems matrix is
-	// O(nodes²/8) bytes).
+	// ConeSets names a cone-set representation: "", "auto", "dense" or
+	// "compressed". It is validated and canonicalized but never reaches
+	// the engine, whose kernels walk event worklists, not cone sets.
+	//
+	// Deprecated: no run reads ConeSets; it will be removed.
+	// Circuit.ConeMemory reports the per-policy footprint instead.
 	ConeSets string `json:"cone_sets,omitempty"`
 	// MaxTargets, when positive, budgets the run to the first MaxTargets
 	// positions of the targeting order; every later fault stays pending
@@ -201,9 +199,9 @@ func (c Config) Canonical() (Config, error) {
 }
 
 // CacheKey returns a deterministic string key for result caching: the
-// compact JSON of the Canonical form with ConeSets cleared. ConeSets is
-// a pure memory/speed knob, so the Result — canonical JSON included — is
-// bit-identical under every setting of it. Workers stays in the key
+// compact JSON of the Canonical form with ConeSets cleared. No run reads
+// ConeSets, so the Result — canonical JSON included — is bit-identical
+// under every setting of it. Workers stays in the key
 // because Result echoes it. Invalid configurations are errors.
 func (c Config) CacheKey() (string, error) {
 	canon, err := c.Canonical()
@@ -263,7 +261,6 @@ func (c Config) engineOptions() (core.Options, error) {
 		Order:             h,
 		Reference:         c.reference,
 		Compact:           c.Compact,
-		ConeSets:          c.ConeSets,
 		MaxTargets:        c.MaxTargets,
 		DeferCredit:       c.Shards > 0,
 	}, nil

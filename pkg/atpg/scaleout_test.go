@@ -65,7 +65,7 @@ func TestScaleOutConfigValidation(t *testing.T) {
 	if _, err := New(c, Config{MaxTargets: -1}); err == nil || !strings.Contains(err.Error(), "max_targets") {
 		t.Errorf("MaxTargets=-1: err = %v, want a max_targets error", err)
 	}
-	for _, p := range ConeSetPolicies() {
+	for _, p := range []string{ConeSetsAuto, ConeSetsDense, ConeSetsCompressed} {
 		if _, err := New(c, Config{ConeSets: p}); err != nil {
 			t.Errorf("ConeSets=%q rejected: %v", p, err)
 		}

@@ -120,19 +120,16 @@ func TestTopologySharedAcrossSessions(t *testing.T) {
 			t.Fatalf("session %d over the shared topology diverged from a fresh circuit", i)
 		}
 	}
-	// A different cone policy gets its own topology; the same policy is
-	// still shared.
-	if _, err := New(c, Config{ConeSets: ConeSetsCompressed}); err != nil {
-		t.Fatal(err)
-	}
+	// No engine layer reads a cone set, so the cone-set knob shares the
+	// one topology too.
 	if _, err := New(c, Config{ConeSets: ConeSetsCompressed}); err != nil {
 		t.Fatal(err)
 	}
 	c.mu.Lock()
 	builds = c.topoBuilds
 	c.mu.Unlock()
-	if builds != 2 {
-		t.Fatalf("auto + compressed policies built %d topologies, want 2", builds)
+	if builds != 1 {
+		t.Fatalf("a compressed cone-set session built a second topology (%d builds)", builds)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"fogbuster/internal/compact"
 	"fogbuster/internal/core"
-	"fogbuster/internal/sim"
 )
 
 // ErrAlreadyRun is returned by Session.Run when the session was already
@@ -86,9 +85,8 @@ func newSession(c *Circuit, cfg Config, ckpt *Checkpoint) (*Session, error) {
 	}
 	opts.OnEvent = s.emit
 	// Reuse the circuit's memoized topology so concurrent sessions over
-	// one Circuit share a single levelized CSR view and cone sets.
-	policy, _ := sim.ParseConePolicy(cfg.ConeSets) // validated above
-	opts.Topology = c.topology(policy)
+	// one Circuit share a single levelized CSR view.
+	opts.Topology = c.topology()
 	eng, err := core.New(c.c, opts)
 	if err != nil {
 		// Unreachable after Validate; surfaced defensively.

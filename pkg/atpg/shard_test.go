@@ -380,6 +380,24 @@ func TestMergeResultsErrors(t *testing.T) {
 		t.Errorf("mixed configs: err = %v, want configuration mismatch", err)
 	}
 	_ = part1
+
+	// A decoded part whose total exceeds the fault universe is an error,
+	// not an allocation sized by the wire.
+	for _, total := range []int{1 << 50, -1} {
+		var buf bytes.Buffer
+		if err := EncodeJSON(&buf, part0); err != nil {
+			t.Fatal(err)
+		}
+		var bogus Result
+		if err := json.Unmarshal(buf.Bytes(), &bogus); err != nil {
+			t.Fatal(err)
+		}
+		bogus.Shard.Total = total
+		bogus.Shard.Lo, bogus.Shard.Hi, bogus.Shard.Cursor, bogus.Shard.Positions = 0, 0, 0, nil
+		if _, err := MergeResults(&bogus); err == nil || !strings.Contains(err.Error(), "targets") {
+			t.Errorf("total %d: err = %v, want a targeted-positions error", total, err)
+		}
+	}
 }
 
 // TestResumeErrors pins Resume's validation: wrong circuit, corrupt
